@@ -17,12 +17,16 @@
 //! `--scenario-smoke` (canonical scenario set generates and ranks
 //! deterministically), `--scenarios` (write only the scenario sweep
 //! baseline), `fleet` (full fleet sweep + repeatability gates →
-//! `BENCH_fleet_full.json`), `fleet --fleet-smoke` (the 64-cell CI fleet
-//! with double-run and serial-vs-`Fixed(2)` identity gates →
-//! `BENCH_fleet.json`).
+//! `BENCH_fleet_full.json`), `fleet --fleet-smoke` (the 64-cell CI fleet,
+//! run once as serial ×2 + `Fixed(2)`, through both the repeatability
+//! gates → `BENCH_fleet.json` and the observability gates →
+//! `BENCH_obs.json`), `fleet --chaos-smoke` (the same grid under the fixed
+//! chaos plan → `BENCH_chaos.json`).
 
 use resilience_bench::chaos::{evaluate_chaos_fleet, ChaosReport};
-use resilience_bench::fleet::{evaluate_fleet, full_grid, smoke_grid, FleetReport};
+use resilience_bench::fleet::{
+    evaluate_fleet, full_grid, run_fleet_triple, smoke_grid, FleetReport,
+};
 use resilience_bench::harness::{
     bench_with_budget, median_u64, FamilyTiming, Measurement, ScenarioCell, ScenarioSweepReport,
     SpeedupReport,
@@ -443,7 +447,10 @@ fn scenario_smoke() -> bool {
             ok = false;
         }
     }
-    println!("scenario smoke: canonical set deterministic={ok}");
+    println!(
+        "scenario smoke: canonical set deterministic={ok} cores={}",
+        cores()
+    );
     ok
 }
 
@@ -487,7 +494,8 @@ fn smoke() -> bool {
     let median = median_u64(&evals).unwrap_or(0);
 
     println!(
-        "smoke: identical={identical} evals_per_fit={evals:?} median={median} (ceiling {SMOKE_EVALS_PER_FIT_CEILING})"
+        "smoke: identical={identical} evals_per_fit={evals:?} median={median} (ceiling {SMOKE_EVALS_PER_FIT_CEILING}) cores={}",
+        cores()
     );
     if !identical {
         eprintln!("smoke: serial vs Fixed(2) rank_models outputs differ — determinism broken");
@@ -507,9 +515,12 @@ fn smoke() -> bool {
 fn run_fleet_mode(path: &str, report: &FleetReport) -> bool {
     if !report.gates_pass() {
         eprintln!(
-            "fleet: repeatability gates failed (rerun={} parallel={} rollup={}) — \
+            "fleet: repeatability gates failed (rerun={} parallel={} rollup={}) cores={} — \
              refusing to overwrite {path}",
-            report.identical_rerun, report.identical_parallel, report.identical_rollup
+            report.identical_rerun,
+            report.identical_parallel,
+            report.identical_rollup,
+            cores(),
         );
         return false;
     }
@@ -521,13 +532,14 @@ fn run_fleet_mode(path: &str, report: &FleetReport) -> bool {
         .collect();
     println!(
         "fleet          cells={} families={} runs={} gates=pass digest={:016x} \
-         median_evals_per_fit={} wall_ms=[{}] -> {path}",
+         median_evals_per_fit={} wall_ms=[{}] cores={} -> {path}",
         report.store.len(),
         report.families.len(),
         report.runs,
         report.store.digest(),
         report.median_evals_per_fit,
         wall_ms.join(", "),
+        cores(),
     );
     true
 }
@@ -542,7 +554,7 @@ fn run_chaos_mode(path: &str, report: &ChaosReport) -> bool {
         eprintln!(
             "chaos: gates failed (no_abort={} well_formed={} rerun={} parallel={} \
              accounted={} retries_bounded={}; injected={} breaker_opened={} half_open={} \
-             quarantined={} retries={}/{}) — refusing to overwrite {path}",
+             quarantined={} retries={}/{}) cores={} — refusing to overwrite {path}",
             report.no_abort,
             report.well_formed,
             report.identical_rerun,
@@ -555,13 +567,14 @@ fn run_chaos_mode(path: &str, report: &ChaosReport) -> bool {
             report.cells_quarantined,
             report.retries,
             report.retry_ceiling,
+            cores(),
         );
         return false;
     }
     std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!(
         "chaos          cells={} injected={} breaker_opened={} half_open={} quarantined={} \
-         retries={}/{} gates=pass digest={:016x} -> {path}",
+         retries={}/{} gates=pass digest={:016x} cores={} -> {path}",
         report.store.len(),
         report.chaos_injected,
         report.breaker_opened,
@@ -570,17 +583,18 @@ fn run_chaos_mode(path: &str, report: &ChaosReport) -> bool {
         report.retries,
         report.retry_ceiling,
         report.store.digest(),
+        cores(),
     );
     true
 }
 
-/// Runs the observability gate evaluation (`bench fleet --obs-smoke`):
-/// the 64-cell CI grid three times, gated on byte-identical logs, span
-/// trees, metrics expositions, and stores plus full work attribution and
-/// per-family evaluation ceilings. Writes `BENCH_obs.json` only when
-/// every gate holds; with `OBS_SMOKE_DIR` set, also writes the three
-/// JSONL logs and the metrics/tree renders there so CI can exercise
-/// `obsctl` against real output.
+/// Reports the observability gate evaluation (`bench fleet
+/// --fleet-smoke`): byte-identical logs, span trees, metrics
+/// expositions, and stores across the three passes, plus full work
+/// attribution and per-family evaluation ceilings. Writes
+/// `BENCH_obs.json` only when every gate holds; with `OBS_SMOKE_DIR` set,
+/// also writes the three JSONL logs and the metrics/tree renders there so
+/// CI can exercise `obsctl` against real output.
 fn run_obs_mode(path: &str, report: &ObsSmokeReport, artifacts: &ObsSmokeArtifacts) -> bool {
     if let Ok(dir) = std::env::var("OBS_SMOKE_DIR") {
         let dir = std::path::Path::new(&dir);
@@ -597,7 +611,7 @@ fn run_obs_mode(path: &str, report: &ObsSmokeReport, artifacts: &ObsSmokeArtifac
     if !report.gates_pass() {
         eprintln!(
             "obs: gates failed (log={} tree={} metrics={} store={} cells={} \
-             attributed={} budget={}) — refusing to overwrite {path}",
+             attributed={} budget={}) cores={} — refusing to overwrite {path}",
             report.identical_log,
             report.identical_tree,
             report.identical_metrics,
@@ -605,6 +619,7 @@ fn run_obs_mode(path: &str, report: &ObsSmokeReport, artifacts: &ObsSmokeArtifac
             report.cells_covered,
             report.work_attributed,
             report.within_budget,
+            cores(),
         );
         for w in &report.family_work {
             if w.evaluations > w.ceiling {
@@ -623,10 +638,11 @@ fn run_obs_mode(path: &str, report: &ObsSmokeReport, artifacts: &ObsSmokeArtifac
         .map(|w| format!("{}={}/{}", w.family, w.evaluations, w.ceiling))
         .collect();
     println!(
-        "obs            cells={} events={} gates=pass evals=[{}] -> {path}",
+        "obs            cells={} events={} gates=pass evals=[{}] cores={} -> {path}",
         report.cells,
         report.events,
         work.join(", "),
+        cores(),
     );
     true
 }
@@ -640,19 +656,6 @@ fn main() {
     }
     if std::env::args().any(|a| a == "--scenario-smoke") {
         if !scenario_smoke() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if std::env::args().any(|a| a == "--obs-smoke") {
-        // `bench fleet --obs-smoke`: the 64-cell CI grid through the
-        // observability gates (byte-identical logs / span trees / metrics
-        // across serial ×2 + Fixed(2), full work attribution, per-family
-        // evaluation ceilings) → `BENCH_obs.json`. Checked before the
-        // `fleet` branch: the invocation carries the `fleet` word too.
-        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
-        let (report, artifacts) = evaluate_obs_smoke(&smoke_grid(), &families);
-        if !run_obs_mode("BENCH_obs.json", &report, &artifacts) {
             std::process::exit(1);
         }
         return;
@@ -673,27 +676,31 @@ fn main() {
         }
         return;
     }
-    if std::env::args().any(|a| a == "fleet" || a == "--fleet-smoke") {
-        // `bench fleet --fleet-smoke` (or bare `--fleet-smoke`): the
-        // 64-cell CI grid with the two bathtub families, double-run +
-        // Fixed(2) identity gates, written as the checked-in baseline.
+    if std::env::args().any(|a| a == "--fleet-smoke") {
+        // `bench fleet --fleet-smoke` (or bare `--fleet-smoke`): one
+        // serial ×2 + Fixed(2) pass over the 64-cell CI grid with the two
+        // bathtub families, evaluated by both the repeatability gates
+        // (→ `BENCH_fleet.json`) and the observability gates (→
+        // `BENCH_obs.json`). Both verdicts print before the exit status
+        // is decided.
+        let grid = smoke_grid();
+        let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &CompetingRisksFamily];
+        let runs = run_fleet_triple(&grid, &families);
+        let (obs, artifacts) = evaluate_obs_smoke(&grid, &families, &runs);
+        let fleet_ok = run_fleet_mode("BENCH_fleet.json", &evaluate_fleet(&families, runs));
+        if !(run_obs_mode("BENCH_obs.json", &obs, &artifacts) && fleet_ok) {
+            std::process::exit(1);
+        }
+        return;
+    }
+    if std::env::args().any(|a| a == "fleet") {
         // `bench fleet` alone: the 360-cell full sweep with the quartic
-        // added, written alongside it.
-        let smoke = std::env::args().any(|a| a == "--fleet-smoke");
-        let (path, grid, families): (&str, _, Vec<&dyn ModelFamily>) = if smoke {
-            (
-                "BENCH_fleet.json",
-                smoke_grid(),
-                vec![&QuadraticFamily, &CompetingRisksFamily],
-            )
-        } else {
-            (
-                "BENCH_fleet_full.json",
-                full_grid(),
-                vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily],
-            )
-        };
-        if !run_fleet_mode(path, &evaluate_fleet(&grid, &families)) {
+        // added, written alongside the smoke baseline.
+        let grid = full_grid();
+        let families: Vec<&dyn ModelFamily> =
+            vec![&QuadraticFamily, &CompetingRisksFamily, &QuarticFamily];
+        let report = evaluate_fleet(&families, run_fleet_triple(&grid, &families));
+        if !run_fleet_mode("BENCH_fleet_full.json", &report) {
             std::process::exit(1);
         }
         return;

@@ -2,15 +2,16 @@
 //!
 //! A *fleet run* generates every cell of a [`ScenarioGrid`]
 //! (scenarios × noise models × lengths × seeds), fits all of them through
-//! `rank_many_supervised` — work-stealing over the flattened
+//! `rank_fleet_supervised` — work-stealing over the flattened
 //! series × family job list — and streams the per-cell outcomes into a
 //! columnar [`FleetStore`]. The store keeps winning SSE and adjusted R²
 //! as raw `f64` bits, so "same results" is exact byte equality, never an
 //! epsilon.
 //!
 //! [`evaluate_fleet`] is the repeatability evaluator behind
-//! `bench fleet`: it runs the same fleet three times — twice serial, once
-//! with `Fixed(2)` workers — and gates on
+//! `bench fleet`: it compares three passes of the same fleet — twice
+//! serial, once with `Fixed(2)` workers ([`run_fleet_triple`]) — and
+//! gates on
 //!
 //! 1. **rerun identity**: the two serial stores serialize to identical
 //!    bytes (winners, SSE bits, obs roll-up);
@@ -27,7 +28,7 @@
 use crate::harness::{json_escape, median_u64};
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
-use resilience_core::runtime::{rank_many_supervised, Control, ExecPolicy};
+use resilience_core::runtime::{rank_fleet_supervised, CellOutcome, Control, ExecPolicy};
 use resilience_core::selection::Ranking;
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
 use resilience_data::PerformanceSeries;
@@ -284,7 +285,7 @@ impl FleetRun {
 }
 
 /// Runs one fleet pass: generates every grid cell, ranks all of them via
-/// `rank_many_supervised` under `parallelism`, and collects the store and
+/// `rank_fleet_supervised` under `parallelism`, and collects the store and
 /// the observed roll-up.
 ///
 /// Per-cell ranking failures degrade to `(failed)` rows in the store —
@@ -316,13 +317,16 @@ pub fn run_fleet(
     };
     let rec = Arc::new(RecordingObserver::new());
     let start = Instant::now();
-    let rankings = rank_many_supervised(
+    let rankings: Vec<_> = rank_fleet_supervised(
         families,
         &series,
         &config,
         &ExecPolicy::default(),
         &Control::unbounded().observe(rec.clone()),
-    );
+    )
+    .into_iter()
+    .map(CellOutcome::into_result)
+    .collect();
     let wall_ns = start.elapsed().as_nanos();
     let events = rec.take();
     let evals_per_fit: Vec<u64> = events
@@ -571,19 +575,28 @@ pub fn variance_bands(store: &FleetStore) -> Vec<VarianceBand> {
         .collect()
 }
 
-/// The repeatability evaluator: runs the fleet twice serially and once
-/// with `Fixed(2)` workers, gates on byte-identical stores and roll-ups,
-/// and assembles the [`FleetReport`].
+/// The three fleet passes every repeatability gate compares: serial,
+/// serial again, and `Fixed(2)` workers, in that order.
 ///
 /// # Panics
 ///
 /// Panics when a grid cell fails to generate or `families` is empty (see
 /// [`run_fleet`]).
 #[must_use]
-pub fn evaluate_fleet(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) -> FleetReport {
-    let run1 = run_fleet(grid, families, Parallelism::Serial);
-    let run2 = run_fleet(grid, families, Parallelism::Serial);
-    let run3 = run_fleet(grid, families, Parallelism::Fixed(2));
+pub fn run_fleet_triple(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) -> [FleetRun; 3] {
+    [
+        run_fleet(grid, families, Parallelism::Serial),
+        run_fleet(grid, families, Parallelism::Serial),
+        run_fleet(grid, families, Parallelism::Fixed(2)),
+    ]
+}
+
+/// The repeatability evaluator over the passes of [`run_fleet_triple`]:
+/// gates on byte-identical stores and roll-ups and assembles the
+/// [`FleetReport`] around the first serial pass.
+#[must_use]
+pub fn evaluate_fleet(families: &[&dyn ModelFamily], runs: [FleetRun; 3]) -> FleetReport {
+    let [run1, run2, run3] = runs;
 
     let bytes1 = run1.store.columns_json();
     let identical_rerun = bytes1 == run2.store.columns_json();
@@ -704,7 +717,7 @@ mod tests {
     #[test]
     fn evaluator_passes_gates_and_zeroes_deltas_on_a_deterministic_fleet() {
         let grid = tiny_grid();
-        let report = evaluate_fleet(&grid, &families());
+        let report = evaluate_fleet(&families(), run_fleet_triple(&grid, &families()));
         assert!(report.gates_pass());
         assert!(report.identical_rerun);
         assert!(report.identical_parallel);
@@ -730,7 +743,7 @@ mod tests {
     #[test]
     fn report_json_is_structurally_sound_and_wall_clock_free() {
         let grid = tiny_grid();
-        let report = evaluate_fleet(&grid, &families());
+        let report = evaluate_fleet(&families(), run_fleet_triple(&grid, &families()));
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"fleet\"",
@@ -754,7 +767,10 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         // And the document is reproducible byte for byte.
-        assert_eq!(json, evaluate_fleet(&grid, &families()).to_json());
+        assert_eq!(
+            json,
+            evaluate_fleet(&families(), run_fleet_triple(&grid, &families())).to_json()
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Observability smoke evaluator (`bench fleet --obs-smoke`):
+//! Observability smoke evaluator (part of `bench fleet --fleet-smoke`):
 //! the work-budget regression gate behind `BENCH_obs.json`.
 //!
-//! Runs the CI fleet three times — twice serial, once with `Fixed(2)`
-//! workers — and gates on the *observability plane itself* being
-//! deterministic, not just the fit results:
+//! Reads the same three CI fleet passes the repeatability gates use —
+//! twice serial, once with `Fixed(2)` workers
+//! ([`run_fleet_triple`](crate::fleet::run_fleet_triple)) — and gates on
+//! the *observability plane itself* being deterministic, not just the
+//! fit results:
 //!
 //! 1. **identical_log** — the three JSONL event logs are byte-identical;
 //! 2. **identical_tree** — the [`SpanTree`] renders are byte-identical;
@@ -24,12 +26,11 @@
 //! ceilings, and the top-K hottest cells. No wall-clock, no machine
 //! identifiers — CI regenerates it and `git diff` stays clean.
 
-use crate::fleet::{run_fleet, FleetRun};
+use crate::fleet::FleetRun;
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
 use resilience_data::scenario::ScenarioGrid;
 use resilience_obs::{Histogram, HistogramId, MetricsSnapshot, SpanTree, WorkMetric};
-use resilience_optim::Parallelism;
 
 /// Committed per-family evaluation ceilings for the 64-cell smoke grid
 /// (`smoke_grid()` × the two bathtub families). Calibrated at roughly
@@ -228,21 +229,16 @@ impl ObsSmokeReport {
 /// How many hottest cells the baseline records.
 const TOP_K: usize = 5;
 
-/// Runs the observability gate evaluation: three fleet passes, the seven
-/// gates, and the baseline aggregates (see the module docs).
-///
-/// # Panics
-///
-/// Panics when a grid cell fails to generate or `families` is empty (see
-/// [`run_fleet`]).
+/// Runs the observability gate evaluation over the three passes of
+/// [`run_fleet_triple`](crate::fleet::run_fleet_triple) on `grid`: the
+/// seven gates and the baseline aggregates (see the module docs).
 #[must_use]
 pub fn evaluate_obs_smoke(
     grid: &ScenarioGrid,
     families: &[&dyn ModelFamily],
+    runs: &[FleetRun; 3],
 ) -> (ObsSmokeReport, ObsSmokeArtifacts) {
-    let run1 = run_fleet(grid, families, Parallelism::Serial);
-    let run2 = run_fleet(grid, families, Parallelism::Serial);
-    let run3 = run_fleet(grid, families, Parallelism::Fixed(2));
+    let [run1, run2, run3] = runs;
 
     let log1 = run1.events_jsonl();
     let log2 = run2.events_jsonl();
@@ -252,7 +248,7 @@ pub fn evaluate_obs_smoke(
     let tree = SpanTree::build(&run1.events);
     let render = |run: &FleetRun| SpanTree::build(&run.events).render(usize::MAX, 4);
     let tree_text = tree.render(usize::MAX, 4);
-    let identical_tree = tree_text == render(&run2) && tree_text == render(&run3);
+    let identical_tree = tree_text == render(run2) && tree_text == render(run3);
 
     let metrics_text = MetricsSnapshot::from_report(&run1.report).render();
     let identical_metrics = metrics_text == MetricsSnapshot::from_report(&run2.report).render()
@@ -332,6 +328,7 @@ pub fn evaluate_obs_smoke(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::run_fleet_triple;
     use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
     use resilience_data::scenario::{GridScenario, NoiseLevel, ShapeKind};
 
@@ -348,10 +345,14 @@ mod tests {
         vec![&QuadraticFamily, &CompetingRisksFamily]
     }
 
+    fn evaluate(grid: &ScenarioGrid) -> (ObsSmokeReport, ObsSmokeArtifacts) {
+        evaluate_obs_smoke(grid, &families(), &run_fleet_triple(grid, &families()))
+    }
+
     #[test]
     fn gates_hold_on_a_deterministic_fleet() {
         let grid = tiny_grid();
-        let (report, artifacts) = evaluate_obs_smoke(&grid, &families());
+        let (report, artifacts) = evaluate(&grid);
         assert!(report.gates_pass(), "gates failed: {report:?}");
         assert_eq!(report.cells, grid.len());
         assert_eq!(report.tree_cells, grid.len());
@@ -366,7 +367,7 @@ mod tests {
     #[test]
     fn baseline_json_is_reproducible_and_wall_clock_free() {
         let grid = tiny_grid();
-        let (report, _) = evaluate_obs_smoke(&grid, &families());
+        let (report, _) = evaluate(&grid);
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"obs\"",
@@ -391,14 +392,14 @@ mod tests {
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        let (again, _) = evaluate_obs_smoke(&grid, &families());
+        let (again, _) = evaluate(&grid);
         assert_eq!(json, again.to_json());
     }
 
     #[test]
     fn hottest_cells_are_sorted_and_bounded() {
         let grid = tiny_grid();
-        let (report, _) = evaluate_obs_smoke(&grid, &families());
+        let (report, _) = evaluate(&grid);
         assert!(report.hottest_cells.len() <= TOP_K);
         assert!(!report.hottest_cells.is_empty());
         for pair in report.hottest_cells.windows(2) {

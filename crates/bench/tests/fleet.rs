@@ -8,7 +8,9 @@
 //! 64-cell CI grid runs in release via `scripts/verify.sh`
 //! (`bench fleet --fleet-smoke`).
 
-use resilience_bench::fleet::{evaluate_fleet, run_fleet, smoke_grid, FleetStore};
+use resilience_bench::fleet::{
+    evaluate_fleet, run_fleet, run_fleet_triple, smoke_grid, FleetStore,
+};
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
@@ -89,7 +91,7 @@ fn fleet_cells_match_standalone_supervised_ranking() {
 
 #[test]
 fn evaluator_gates_hold_on_the_tiny_grid() {
-    let report = evaluate_fleet(&tiny_grid(), &families());
+    let report = evaluate_fleet(&families(), run_fleet_triple(&tiny_grid(), &families()));
     assert!(report.gates_pass());
     assert_eq!(report.max_delta.sse_rerun, 0.0);
     assert_eq!(report.max_delta.r2_rerun, 0.0);
@@ -98,7 +100,7 @@ fn evaluator_gates_hold_on_the_tiny_grid() {
     // The baseline document regenerates byte-identically.
     assert_eq!(
         report.to_json(),
-        evaluate_fleet(&tiny_grid(), &families()).to_json()
+        evaluate_fleet(&families(), run_fleet_triple(&tiny_grid(), &families())).to_json()
     );
 }
 

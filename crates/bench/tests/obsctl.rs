@@ -62,6 +62,10 @@ fn stdout(out: &Output) -> String {
     String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
 }
 
+fn stderr(out: &Output) -> String {
+    String::from_utf8(out.stderr.clone()).expect("utf8 stderr")
+}
+
 fn code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
@@ -76,7 +80,10 @@ fn report_renders_the_family_table() {
     assert!(text.contains("Glacial"), "missing family: {text}");
     let json = obsctl(&["report", log.to_str().unwrap(), "--json"]);
     assert_eq!(code(&json), 0);
-    assert!(stdout(&json).contains("\"families\""));
+    let text = stdout(&json);
+    assert!(text.contains("\"families\""), "json: {text}");
+    assert!(text.contains("\"name\":\"Quadratic\""), "json: {text}");
+    assert!(text.contains("\"counters\""), "json: {text}");
 }
 
 #[test]
@@ -183,4 +190,25 @@ fn usage_and_io_errors_exit_two() {
     assert_eq!(code(&obsctl(&["tree", malformed.to_str().unwrap()])), 2);
     let bad_flag = obsctl(&["tree", "x.jsonl", "--cells", "many"]);
     assert_eq!(code(&bad_flag), 2);
+    let unknown_flag = obsctl(&["report", "x.jsonl", "--bogus"]);
+    assert_eq!(code(&unknown_flag), 2);
+    assert!(stderr(&unknown_flag).contains("unknown flag --bogus"));
+
+    // A malformed line after valid ones is reported by its line number.
+    let trailing = fixture("trailing.jsonl", &format!("{LOG}this is not json\n"));
+    let out = obsctl(&["report", trailing.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    assert!(stderr(&out).contains("line 17"), "{}", stderr(&out));
+
+    // Values >= 2^64 are a parse error on their line, never a panic or a
+    // saturated count.
+    let overflow = fixture(
+        "overflow.jsonl",
+        "{\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":1e300}\n",
+    );
+    let out = obsctl(&["report", overflow.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    let text = stderr(&out);
+    assert!(text.contains("line 1"), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
 }

@@ -138,7 +138,7 @@ impl std::fmt::Debug for FittedModel {
 /// The SSE objective over a family's internal space, with reusable
 /// scratch so one evaluation allocates nothing. Implements the optimizer
 /// [`Objective`] trait: scalar evaluation for the simplex updates, and a
-/// batched evaluation that routes whole simplexes / DE populations through
+/// batched evaluation that routes whole simplexes through
 /// the family's single-pass [`ModelFamily::sse_batch_into`] kernel when it
 /// has one (bit-identical to the scalar path by that method's contract).
 struct SseObjective<'a> {
@@ -356,9 +356,7 @@ pub fn fit_least_squares_with(
                 fit_started_emitted = true;
             }
             let objective = make_objective();
-            match NelderMead::new(nm_config.clone())
-                .minimize_with_control(&objective, &internal, control)
-            {
+            match NelderMead::new(nm_config.clone()).minimize(&objective, &internal, control) {
                 Ok(report) => {
                     short_circuit = report.termination == TerminationReason::Converged
                         && report.evaluations <= warm.max_evaluations;
@@ -446,11 +444,9 @@ pub fn fit_least_squares_with(
         // A failed or stopped polish is not a fit failure: the multi-start
         // winner above is already a complete answer, so `Err` here (LM
         // divergence, deadline, cancellation) just skips the refinement.
-        if let Ok(report) = LevenbergMarquardt::new(config.lm.clone()).minimize_with_control(
-            &problem,
-            &best_internal,
-            control,
-        ) {
+        if let Ok(report) =
+            LevenbergMarquardt::new(config.lm.clone()).minimize(&problem, &best_internal, control)
+        {
             evaluations += report.evaluations;
             lm_converged = report.termination == TerminationReason::Converged;
             if report.value < best_sse {

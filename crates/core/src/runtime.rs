@@ -32,7 +32,7 @@ use crate::selection::{score_family, sort_rows, FailureKind, FamilyFailure, Rank
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_obs::{replay, CounterId, Event, FailureCode, HistogramId, RecordingObserver};
-use resilience_optim::parallel::{run_indexed_catch, JobPanic};
+use resilience_optim::parallel::run_indexed_catch;
 use resilience_optim::{Parallelism, StopCause};
 use resilience_stats::XorShift64;
 use std::sync::Arc;
@@ -471,31 +471,22 @@ pub fn rank_models_supervised(
     policy: &ExecPolicy,
     control: &Control,
 ) -> Result<Ranking, CoreError> {
-    // Parallelize across families; the inner multi-start goes serial so
-    // the fan-out happens at exactly one level.
-    let mut inner = config.clone();
-    inner.parallelism = Parallelism::Serial;
-    // Per-family event buffers, replayed into the caller's sink in input
-    // order below so the merged log is independent of worker scheduling.
-    // Created outside the jobs: a panicking family keeps the events it
-    // buffered before dying.
-    let recorders: Option<Vec<Arc<RecordingObserver>>> = control.observed().then(|| {
-        (0..families.len())
-            .map(|_| Arc::new(RecordingObserver::new()))
-            .collect()
-    });
-    let outcomes = run_indexed_catch(config.parallelism, families.len(), |i| {
-        supervised_family_job(
-            families[i],
-            series,
-            &inner,
-            policy,
-            control,
-            recorders.as_ref().map(|recs| &recs[i]),
-            0,
-        )
-    });
-    reduce_series_outcomes(families, outcomes, recorders.as_deref(), control)
+    // A one-cell fleet. The breaker is a fleet-scale policy (it only acts
+    // across cells), so it is switched off here.
+    let single = ExecPolicy {
+        breaker: None,
+        ..policy.clone()
+    };
+    rank_fleet_supervised(
+        families,
+        std::slice::from_ref(series),
+        config,
+        &single,
+        control,
+    )
+    .pop()
+    .expect("one outcome per cell")
+    .into_result()
 }
 
 /// One supervised series × family job: narrows the caller's control to
@@ -603,101 +594,6 @@ fn supervised_family_job(
     score_family(family, series, &fit)
 }
 
-/// Reduces one series' per-family job outcomes into a [`Ranking`],
-/// replaying each job's event buffer into the caller's sink in family
-/// order (so the merged log is independent of worker scheduling) and
-/// converting panics into degraded failure rows.
-fn reduce_series_outcomes(
-    families: &[&dyn ModelFamily],
-    outcomes: Vec<Result<Result<crate::selection::SelectionRow, FamilyFailure>, JobPanic>>,
-    recorders: Option<&[Arc<RecordingObserver>]>,
-    control: &Control,
-) -> Result<Ranking, CoreError> {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        if let (Some(recs), Some(sink)) = (recorders, control.observer()) {
-            replay(&recs[i].take(), sink.as_ref());
-        }
-        match outcome {
-            Ok(Ok(row)) => rows.push(row),
-            Ok(Err(failure)) => {
-                control.emit(Event::FitFailed {
-                    family: failure.family_name,
-                    kind: failure.kind.code(),
-                });
-                failures.push(failure);
-            }
-            Err(panic) => {
-                control.emit(Event::WorkerPanic {
-                    scope: families[i].name(),
-                    index: i as u32,
-                });
-                control.emit(Event::FitFailed {
-                    family: families[i].name(),
-                    kind: FailureCode::Panicked,
-                });
-                failures.push(FamilyFailure {
-                    family_name: families[i].name(),
-                    reason: format!("fit: {}", panic.message),
-                    kind: FailureKind::Panicked,
-                });
-            }
-        }
-    }
-    if rows.is_empty() {
-        // Distinguish "the caller stopped us" from "nothing could fit":
-        // a stopped run with no survivors propagates the stop.
-        return Err(match control.stop_cause() {
-            Some(StopCause::DeadlineExceeded) => CoreError::timed_out("rank_models"),
-            Some(StopCause::Cancelled) => CoreError::cancelled("rank_models"),
-            None => CoreError::arg("rank_models", "no family produced a fit"),
-        });
-    }
-    sort_rows(&mut rows);
-    let degraded = !failures.is_empty();
-    Ok(Ranking {
-        rows,
-        failures,
-        degraded,
-    })
-}
-
-/// Batch entry point for fleet runs: ranks every series in `series_list`
-/// under the same policy, with work-stealing over the *flattened*
-/// series × family job list (DESIGN.md §13).
-///
-/// Flattening matters for fleet-scale throughput: a series whose families
-/// are all cheap does not leave workers idle while one expensive
-/// series × family pair finishes, because jobs are handed out one at a
-/// time from a shared atomic counter ([`run_indexed_catch`]) at the
-/// finest useful granularity. The inner multi-start runs serial, exactly
-/// like [`rank_models_supervised`].
-///
-/// Returns one outcome per series, in input order. Each outcome — the
-/// ranked rows, the typed failures, every SSE bit, and (when observed)
-/// the replayed event stream — is **bit-identical** to what a standalone
-/// [`rank_models_supervised`] call on that series would produce, for any
-/// `config.parallelism`: jobs are pure functions of their (series,
-/// family) pair and both reduction and event replay happen in input
-/// order.
-///
-/// Per-series errors (a stop with no survivors, or no family fitting)
-/// land in that series' slot; other series still rank — one poisoned cell
-/// must not abort a fleet.
-pub fn rank_many_supervised(
-    families: &[&dyn ModelFamily],
-    series_list: &[PerformanceSeries],
-    config: &FitConfig,
-    policy: &ExecPolicy,
-    control: &Control,
-) -> Vec<Result<Ranking, CoreError>> {
-    rank_fleet_supervised(families, series_list, config, policy, control)
-        .into_iter()
-        .map(CellOutcome::into_result)
-        .collect()
-}
-
 /// Outcome of one fleet cell under [`rank_fleet_supervised`].
 #[derive(Debug)]
 pub enum CellOutcome {
@@ -715,7 +611,7 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// Collapses to the legacy [`rank_many_supervised`] result shape: a
+    /// Collapses to the [`rank_models_supervised`] result shape: a
     /// quarantined cell maps to the same `InvalidArgument` a no-survivor
     /// ranking always produced.
     pub fn into_result(self) -> Result<Ranking, CoreError> {
@@ -814,10 +710,27 @@ impl Breaker {
     }
 }
 
-/// Fleet entry point with full supervision: work-stealing over flattened
-/// series × family jobs (like [`rank_many_supervised`], which delegates
-/// here), plus per-family circuit breaking, cell quarantine, and chaos
-/// injection when the policy asks for them (DESIGN.md §14).
+/// Fleet entry point: ranks every series in `series_list` under the same
+/// policy, with work-stealing over the *flattened* series × family job
+/// list (DESIGN.md §13), plus per-family circuit breaking, cell
+/// quarantine, and chaos injection when the policy asks for them
+/// (DESIGN.md §14).
+///
+/// Flattening matters for fleet-scale throughput: a series whose families
+/// are all cheap does not leave workers idle while one expensive
+/// series × family pair finishes, because jobs are handed out one at a
+/// time from a shared atomic counter ([`run_indexed_catch`]) at the
+/// finest useful granularity. The inner multi-start runs serial, so the
+/// fan-out happens at exactly one level.
+///
+/// Returns one outcome per series, in input order. With the breaker off,
+/// each outcome — the ranked rows, the typed failures, every SSE bit, and
+/// (when observed) the replayed event stream — is **bit-identical** to
+/// what a standalone [`rank_models_supervised`] call on that series would
+/// produce, for any `config.parallelism`: jobs are pure functions of
+/// their (series, family) pair and both reduction and event replay happen
+/// in input order. Per-series errors land in that series' slot; other
+/// series still rank — one poisoned cell must not abort a fleet.
 ///
 /// Cells execute in fixed-size waves (`policy.breaker.wave`; one single
 /// wave when no breaker is configured). Within a wave, jobs run under
@@ -959,9 +872,8 @@ pub fn rank_fleet_supervised(
                 }
             }
             if rows.is_empty() {
-                // Same precedence as the single-series reduce: a stopped
-                // run with no survivors propagates the stop; otherwise
-                // the cell is quarantined.
+                // A stopped run with no survivors propagates the stop;
+                // otherwise the cell is quarantined.
                 match control.stop_cause() {
                     Some(StopCause::DeadlineExceeded) => {
                         cells.push(CellOutcome::Stopped(CoreError::timed_out("rank_models")));
@@ -1180,10 +1092,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_many_matches_standalone_supervised_calls_bit_for_bit() {
+    fn fleet_matches_standalone_supervised_calls_bit_for_bit() {
         let series_list = batch_series();
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &QuarticFamily];
-        let batch = rank_many_supervised(
+        let batch = rank_fleet_supervised(
             &families,
             &series_list,
             &FitConfig::default(),
@@ -1191,7 +1103,7 @@ mod tests {
             &Control::unbounded(),
         );
         assert_eq!(batch.len(), series_list.len());
-        for (series, outcome) in series_list.iter().zip(&batch) {
+        for (series, outcome) in series_list.iter().zip(batch) {
             let standalone = rank_models_supervised(
                 &families,
                 series,
@@ -1200,7 +1112,7 @@ mod tests {
                 &Control::unbounded(),
             )
             .unwrap();
-            let ranking = outcome.as_ref().unwrap();
+            let ranking = outcome.into_result().unwrap();
             assert_eq!(ranking.rows.len(), standalone.rows.len());
             for (a, b) in ranking.rows.iter().zip(&standalone.rows) {
                 assert_eq!(a.family_name, b.family_name);
@@ -1211,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_many_results_and_events_are_invariant_to_thread_count() {
+    fn fleet_results_and_events_are_invariant_to_thread_count() {
         use resilience_obs::RecordingObserver;
         let series_list = batch_series();
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily, &QuarticFamily];
@@ -1221,7 +1133,7 @@ mod tests {
                 parallelism: p,
                 ..FitConfig::default()
             };
-            let rankings = rank_many_supervised(
+            let rankings = rank_fleet_supervised(
                 &families,
                 &series_list,
                 &config,
@@ -1231,7 +1143,8 @@ mod tests {
             let bits: Vec<Vec<(&'static str, u64)>> = rankings
                 .into_iter()
                 .map(|r| {
-                    r.unwrap()
+                    r.into_result()
+                        .unwrap()
                         .rows
                         .into_iter()
                         .map(|row| (row.family_name, row.sse.to_bits()))
@@ -1250,12 +1163,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_many_degrades_per_series_instead_of_aborting_the_batch() {
+    fn fleet_degrades_per_series_instead_of_aborting_the_batch() {
         // No families at all: every series fails on its own, in its own
         // slot — the batch call itself still returns one outcome per
         // series.
         let series_list = batch_series();
-        let batch = rank_many_supervised(
+        let batch = rank_fleet_supervised(
             &[],
             &series_list,
             &FitConfig::default(),
@@ -1263,12 +1176,15 @@ mod tests {
             &Control::unbounded(),
         );
         assert_eq!(batch.len(), series_list.len());
-        for outcome in &batch {
-            assert!(matches!(outcome, Err(CoreError::InvalidArgument { .. })));
+        for outcome in batch {
+            assert!(matches!(
+                outcome.into_result(),
+                Err(CoreError::InvalidArgument { .. })
+            ));
         }
         // And an empty fleet is an empty result, not an error.
         let families: Vec<&dyn ModelFamily> = vec![&QuadraticFamily];
-        assert!(rank_many_supervised(
+        assert!(rank_fleet_supervised(
             &families,
             &[],
             &FitConfig::default(),
@@ -1589,18 +1505,52 @@ mod tests {
             })
             .sum();
         assert_eq!(counted, series_list.len() as u64);
-        // The legacy wrapper collapses quarantine to the historical
+        // `into_result` collapses quarantine to the historical
         // no-survivor error.
-        let legacy = rank_many_supervised(
+        assert!(outcomes
+            .into_iter()
+            .all(|o| matches!(o.into_result(), Err(CoreError::InvalidArgument { .. }))));
+    }
+
+    #[test]
+    fn single_series_ranking_ignores_the_breaker() {
+        use resilience_obs::RecordingObserver;
+        // A breaker that would trip on the first failure: the one-cell
+        // path must still answer with the plain no-survivor error and log
+        // neither a breaker transition nor a quarantine.
+        let series = &breaker_series((1, 0))[0];
+        let families: Vec<&dyn ModelFamily> = vec![&FailsOnBadCells, &FailsOnBadCells];
+        let policy = ExecPolicy {
+            breaker: Some(BreakerPolicy {
+                threshold: 1,
+                cooldown: 1,
+                wave: 1,
+            }),
+            ..ExecPolicy::default()
+        };
+        let rec = Arc::new(RecordingObserver::new());
+        let err = rank_models_supervised(
             &families,
-            &series_list,
+            series,
             &FitConfig::default(),
             &policy,
-            &Control::unbounded(),
+            &Control::unbounded().observe(rec.clone()),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::InvalidArgument { what, detail }
+                if *what == "rank_models" && detail == "no family produced a fit"),
+            "{err}"
         );
-        assert!(legacy
-            .iter()
-            .all(|r| matches!(r, Err(CoreError::InvalidArgument { .. }))));
+        let events = rec.take();
+        assert!(events.iter().any(|e| matches!(e, Event::FitFailed { .. })));
+        assert!(
+            !events.iter().any(|e| matches!(
+                e,
+                Event::BreakerOpened { .. } | Event::CellQuarantined { .. }
+            )),
+            "{events:?}"
+        );
     }
 
     #[test]

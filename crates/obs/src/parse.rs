@@ -466,7 +466,7 @@ mod tests {
             best: -1.5e-7,
         });
         round_trip(Event::Iteration {
-            solver: SolverKind::DifferentialEvolution,
+            solver: SolverKind::MultiStart,
             iteration: 2,
             evaluations: 60,
             best: f64::INFINITY,
@@ -559,6 +559,10 @@ mod tests {
         assert!(parse_line("{\"ev\":\"nope\"}").is_err());
         assert!(parse_line("{\"ev\":\"start\",\"index\":-1}").is_err());
         assert!(parse_line("{\"ev\":\"start\",\"index\":0}x").is_err());
+        // Tags of solvers and counters that left the vocabulary.
+        let de = "{\"ev\":\"iteration\",\"solver\":\"de\",\"iter\":1,\"evals\":2,\"best\":0.5}";
+        assert!(parse_line(de).is_err());
+        assert!(parse_line("{\"ev\":\"counter\",\"id\":\"sa_accepted\",\"n\":1}").is_err());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cooperative cancellation and deadlines for the iteration loops.
 //!
-//! Every solver in this crate exposes a `*_with_control` entry point that
-//! threads an [`Control`] through its iteration loop. The loop polls
+//! Every solver in this crate takes a [`Control`] in its one entry point
+//! and threads it through its iteration loop. The loop polls
 //! [`Control::stop_cause`] at well-defined cancellation points — once per
-//! simplex iteration, LM outer/inner step, DE generation, annealing step,
-//! and multi-start start — and returns a typed
+//! simplex iteration, LM outer/inner step, and multi-start start — and
+//! returns a typed
 //! [`OptimError::TimedOut`]/[`OptimError::Cancelled`] instead of running
 //! to its full budget. The check is allocation-free (one atomic load plus
 //! one `Instant::now()` read), so the zero-allocation hot path of the
@@ -109,8 +109,8 @@ impl std::fmt::Display for StopCause {
 /// Execution control for one solver call: an optional cancel token plus
 /// an optional wall-clock deadline.
 ///
-/// The default ([`Control::unbounded`]) never stops anything, so legacy
-/// entry points delegate to the `*_with_control` variants at zero cost.
+/// The default ([`Control::unbounded`]) never stops anything: callers
+/// without a deadline or token pass it at zero cost.
 ///
 /// # Examples
 ///

@@ -11,8 +11,8 @@
 //!   robust derivative-free workhorse.
 //! * [`levenberg_marquardt`] — damped Gauss–Newton for fast local
 //!   refinement of least-squares fits.
-//! * [`scalar`] — golden-section and Brent minimization for 1-D
-//!   subproblems (e.g. profiling a single parameter).
+//! * [`scalar`] — golden-section search for 1-D subproblems (e.g.
+//!   locating a curve trough).
 //! * [`bounds`] — smooth parameter transforms (log / logistic) that turn
 //!   box-constrained fitting into unconstrained fitting; this is how the
 //!   quadratic bathtub validity region `−2√(αγ) < β < 0` is enforced.
@@ -27,8 +27,6 @@
 //!   every iterative solver polls between iterations, turning runaway
 //!   fits into typed [`OptimError::TimedOut`] / [`OptimError::Cancelled`]
 //!   errors instead of hangs.
-//! * [`differential_evolution`] / [`annealing`] — global optimizers used
-//!   as slow-but-sure fallbacks and in ablation benches.
 //!
 //! # Examples
 //!
@@ -36,6 +34,7 @@
 //!
 //! ```
 //! use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+//! use resilience_optim::Control;
 //!
 //! let data: Vec<(f64, f64)> = (0..20)
 //!     .map(|i| {
@@ -52,7 +51,7 @@
 //!         .sum()
 //! };
 //! let report = NelderMead::new(NelderMeadConfig::default())
-//!     .minimize(&sse, &[1.0, 0.1])?;
+//!     .minimize(&sse, &[1.0, 0.1], &Control::unbounded())?;
 //! assert!((report.params[0] - 3.0).abs() < 1e-4);
 //! assert!((report.params[1] - 0.25).abs() < 1e-4);
 //! # Ok::<(), resilience_optim::OptimError>(())
@@ -65,10 +64,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod annealing;
 pub mod bounds;
 pub mod control;
-pub mod differential_evolution;
 pub mod error;
 pub mod levenberg_marquardt;
 pub mod multi_start;

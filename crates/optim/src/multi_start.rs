@@ -103,66 +103,8 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Result<Vec<f64>, OptimError> {
     Ok((0..n).map(|i| lo + step * i as f64).collect())
 }
 
-/// Runs Nelder–Mead from every start and returns the best report.
-///
-/// Starts whose objective is non-finite are skipped; only if *every*
-/// start fails does this error.
-///
-/// # Errors
-///
-/// * [`OptimError::InvalidConfig`] when `starts` is empty.
-/// * [`OptimError::AllStartsFailed`] when no start produced a finite
-///   optimum.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::multi_start_nelder_mead;
-/// use resilience_optim::nelder_mead::NelderMeadConfig;
-///
-/// // Two-basin objective: global minimum at x = 3, local at x = -2.
-/// let f = |p: &[f64]| {
-///     let x = p[0];
-///     ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
-/// };
-/// let starts = vec![vec![-3.0], vec![0.0], vec![4.0]];
-/// let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default())?;
-/// assert!((best.params[0] - 3.0).abs() < 1e-4);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn multi_start_nelder_mead<F: Objective>(
-    f: &F,
-    starts: &[Vec<f64>],
-    config: &NelderMeadConfig,
-) -> Result<OptimReport, OptimError> {
-    if starts.is_empty() {
-        return Err(OptimError::config(
-            "multi_start_nelder_mead",
-            "no starts given",
-        ));
-    }
-    let optimizer = NelderMead::new(config.clone());
-    let mut best: Option<OptimReport> = None;
-    let mut failures = 0usize;
-    for start in starts {
-        match optimizer.minimize(f, start) {
-            Ok(report) => {
-                let better = match &best {
-                    Some(b) => report.value < b.value,
-                    None => true,
-                };
-                if better {
-                    best = Some(report);
-                }
-            }
-            Err(_) => failures += 1,
-        }
-    }
-    best.ok_or(OptimError::AllStartsFailed { attempts: failures })
-}
-
-/// Parallel [`multi_start_nelder_mead`], bit-identical to the serial
-/// driver for every thread count.
+/// Runs Nelder–Mead from every start under an execution [`Control`] and
+/// returns the best report, bit-identical for every thread count.
 ///
 /// Because stateful objectives (e.g. ones carrying reusable scratch
 /// buffers) are rarely `Sync`, this takes an objective *factory*: each
@@ -171,53 +113,9 @@ pub fn multi_start_nelder_mead<F: Objective>(
 ///
 /// Every start is minimized independently; the winner is then reduced in
 /// **start order** with a strict `value <` comparison, so ties keep the
-/// earliest start — exactly the serial driver's first-best-wins rule —
-/// and the result does not depend on scheduling.
-///
-/// # Errors
-///
-/// * [`OptimError::InvalidConfig`] when `starts` is empty.
-/// * [`OptimError::AllStartsFailed`] when no start produced a finite
-///   optimum.
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::multi_start::multi_start_nelder_mead_with;
-/// use resilience_optim::nelder_mead::NelderMeadConfig;
-/// use resilience_optim::Parallelism;
-///
-/// let make = || |p: &[f64]| (p[0] - 3.0_f64).powi(2);
-/// let starts = vec![vec![-2.5], vec![0.5], vec![5.0]];
-/// let best = multi_start_nelder_mead_with(
-///     &make,
-///     &starts,
-///     &NelderMeadConfig::default(),
-///     Parallelism::Auto,
-/// )?;
-/// assert!((best.params[0] - 3.0).abs() < 1e-4);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn multi_start_nelder_mead_with<F, G>(
-    make_objective: &G,
-    starts: &[Vec<f64>],
-    config: &NelderMeadConfig,
-    parallelism: Parallelism,
-) -> Result<OptimReport, OptimError>
-where
-    F: Objective,
-    G: Fn() -> F + Sync,
-{
-    multi_start_nelder_mead_with_control(
-        make_objective,
-        starts,
-        config,
-        parallelism,
-        &Control::unbounded(),
-    )
-}
-
-/// [`multi_start_nelder_mead_with`] under an execution [`Control`].
+/// earliest start and the result does not depend on scheduling. Starts
+/// whose objective is non-finite are skipped; only if *every* start fails
+/// does this error.
 ///
 /// The control is shared by every start: once the deadline passes or the
 /// token fires, in-flight starts stop at their next iteration and pending
@@ -232,6 +130,32 @@ where
 ///   control stopped the run.
 /// * [`OptimError::AllStartsFailed`] when no start produced a finite
 ///   optimum.
+///
+/// # Examples
+///
+/// ```
+/// use resilience_optim::multi_start::multi_start_nelder_mead_with_control;
+/// use resilience_optim::nelder_mead::NelderMeadConfig;
+/// use resilience_optim::{Control, Parallelism};
+///
+/// // Two-basin objective: global minimum at x = 3, local at x = -2.
+/// let make = || {
+///     |p: &[f64]| {
+///         let x = p[0];
+///         ((x - 3.0) * (x + 2.0)).powi(2) + 0.1 * (x - 3.0).powi(2)
+///     }
+/// };
+/// let starts = vec![vec![-3.0], vec![0.0], vec![4.0]];
+/// let best = multi_start_nelder_mead_with_control(
+///     &make,
+///     &starts,
+///     &NelderMeadConfig::default(),
+///     Parallelism::Auto,
+///     &Control::unbounded(),
+/// )?;
+/// assert!((best.params[0] - 3.0).abs() < 1e-4);
+/// # Ok::<(), resilience_optim::OptimError>(())
+/// ```
 pub fn multi_start_nelder_mead_with_control<F, G>(
     make_objective: &G,
     starts: &[Vec<f64>],
@@ -260,7 +184,7 @@ where
             let rec = Arc::new(RecordingObserver::new());
             let sub = control.with_observer(rec.clone());
             sub.emit(Event::StartBegan { index: i as u32 });
-            let result = optimizer.minimize_with_control(&f, &starts[i], &sub);
+            let result = optimizer.minimize(&f, &starts[i], &sub);
             if let Ok(report) = &result {
                 sub.emit(Event::Hist {
                     id: HistogramId::EvalsPerStart,
@@ -273,10 +197,7 @@ where
             }
             (result, Some(rec.take()))
         } else {
-            (
-                optimizer.minimize_with_control(&f, &starts[i], control),
-                None,
-            )
+            (optimizer.minimize(&f, &starts[i], control), None)
         }
     });
     // Replay every buffer before the reduction: a stopped run propagates a
@@ -350,6 +271,40 @@ mod tests {
         assert!(linspace(f64::NAN, 1.0, 2).is_err());
     }
 
+    /// Plain serial loop over the starts: the reference the parallel
+    /// driver must match bit for bit.
+    fn multi_start_nelder_mead<F: Objective>(
+        f: &F,
+        starts: &[Vec<f64>],
+        config: &NelderMeadConfig,
+    ) -> Option<OptimReport> {
+        let optimizer = NelderMead::new(config.clone());
+        let mut best: Option<OptimReport> = None;
+        for start in starts {
+            if let Ok(report) = optimizer.minimize(f, start, &Control::unbounded()) {
+                if best.as_ref().is_none_or(|b| report.value < b.value) {
+                    best = Some(report);
+                }
+            }
+        }
+        best
+    }
+
+    /// The public driver with default config and no deadline.
+    fn best_of<F: Objective, G: Fn() -> F + Sync>(
+        make: &G,
+        starts: &[Vec<f64>],
+        parallelism: Parallelism,
+    ) -> Result<OptimReport, OptimError> {
+        multi_start_nelder_mead_with_control(
+            make,
+            starts,
+            &NelderMeadConfig::default(),
+            parallelism,
+            &Control::unbounded(),
+        )
+    }
+
     #[test]
     fn multi_start_escapes_local_minimum() {
         // f has a local min near x = -2 (value ≈ 2.5) and the global min
@@ -360,12 +315,12 @@ mod tests {
         };
         // A single start near the wrong basin converges locally…
         let local = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &[-2.5])
+            .minimize(&f, &[-2.5], &Control::unbounded())
             .unwrap();
         assert!((local.params[0] + 2.0).abs() < 0.2);
         // …but multi-start finds the global one.
         let starts = vec![vec![-2.5], vec![0.5], vec![5.0]];
-        let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()).unwrap();
+        let best = best_of(&|| f, &starts, Parallelism::Serial).unwrap();
         assert!((best.params[0] - 3.0).abs() < 1e-3);
     }
 
@@ -379,24 +334,14 @@ mod tests {
             }
         };
         let starts = vec![vec![-5.0], vec![2.0]];
-        let best = multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()).unwrap();
+        let best = best_of(&|| f, &starts, Parallelism::Serial).unwrap();
         assert!((best.params[0] - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn multi_start_all_failed() {
-        let f = |_: &[f64]| f64::NAN;
-        let starts = vec![vec![0.0], vec![1.0]];
-        assert!(matches!(
-            multi_start_nelder_mead(&f, &starts, &NelderMeadConfig::default()),
-            Err(OptimError::AllStartsFailed { attempts: 2 })
-        ));
     }
 
     #[test]
     fn multi_start_rejects_empty() {
         let f = |p: &[f64]| p[0];
-        assert!(multi_start_nelder_mead(&f, &[], &NelderMeadConfig::default()).is_err());
+        assert!(best_of(&|| f, &[], Parallelism::Serial).is_err());
     }
 
     #[test]
@@ -418,7 +363,7 @@ mod tests {
             Parallelism::Fixed(4),
             Parallelism::Auto,
         ] {
-            let par = multi_start_nelder_mead_with(&|| f, &starts, &cfg, p).unwrap();
+            let par = best_of(&|| f, &starts, p).unwrap();
             assert_eq!(par.params, serial.params, "{p:?}");
             assert_eq!(par.value, serial.value, "{p:?}");
             assert_eq!(par.evaluations, serial.evaluations, "{p:?}");
@@ -436,9 +381,7 @@ mod tests {
             Parallelism::Fixed(2),
             Parallelism::Fixed(4),
         ] {
-            let best =
-                multi_start_nelder_mead_with(&|| f, &starts, &NelderMeadConfig::default(), p)
-                    .unwrap();
+            let best = best_of(&|| f, &starts, p).unwrap();
             assert!(best.params[0] > 0.0, "{p:?}: {:?}", best.params);
         }
     }
@@ -447,20 +390,16 @@ mod tests {
     fn parallel_all_failed_counts_attempts() {
         let make = || |_: &[f64]| f64::NAN;
         let starts = vec![vec![0.0], vec![1.0], vec![2.0]];
-        assert!(matches!(
-            multi_start_nelder_mead_with(
-                &make,
-                &starts,
-                &NelderMeadConfig::default(),
-                Parallelism::Fixed(2)
-            ),
-            Err(OptimError::AllStartsFailed { attempts: 3 })
-        ));
+        for p in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            assert!(matches!(
+                best_of(&make, &starts, p),
+                Err(OptimError::AllStartsFailed { attempts: 3 })
+            ));
+        }
     }
 
     #[test]
     fn stopped_multi_start_reports_timeout_not_all_starts_failed() {
-        use crate::control::Control;
         use std::time::Duration;
         let make = || |p: &[f64]| (p[0] - 1.0).powi(2);
         let starts = vec![vec![0.0], vec![5.0], vec![-3.0]];
@@ -481,7 +420,6 @@ mod tests {
 
     #[test]
     fn event_logs_are_identical_across_thread_counts() {
-        use crate::control::Control;
         let make = || {
             |p: &[f64]| {
                 let x = p[0];
@@ -519,7 +457,6 @@ mod tests {
 
     #[test]
     fn stopped_run_still_replays_its_stop_events() {
-        use crate::control::Control;
         use resilience_obs::StopKind;
         use std::time::Duration;
         let make = || |p: &[f64]| (p[0] - 1.0).powi(2);
@@ -558,13 +495,7 @@ mod tests {
             }
         };
         let starts = vec![vec![0.0], vec![4.0], vec![9.0]];
-        let best = multi_start_nelder_mead_with(
-            &make,
-            &starts,
-            &NelderMeadConfig::default(),
-            Parallelism::Fixed(3),
-        )
-        .unwrap();
+        let best = best_of(&make, &starts, Parallelism::Fixed(3)).unwrap();
         assert!((best.params[0] - 2.0).abs() < 1e-5);
     }
 }

@@ -1,9 +1,6 @@
-//! One-dimensional minimization: golden-section and Brent's parabolic
-//! method.
+//! One-dimensional minimization by golden-section search.
 //!
-//! Used to profile single parameters (e.g. sweeping the mixture trend
-//! coefficient β with other parameters fixed) and to locate curve troughs
-//! when the analytic minimum is unavailable.
+//! Used to locate curve troughs when the analytic minimum is unavailable.
 
 use crate::OptimError;
 
@@ -94,135 +91,6 @@ pub fn golden_section<F: Fn(f64) -> f64>(
     })
 }
 
-/// Brent's parabolic-interpolation minimizer on `[lo, hi]`.
-///
-/// Superlinear on smooth functions, falling back to golden-section steps
-/// when the parabola misbehaves. This is the recommended scalar minimizer.
-///
-/// # Errors
-///
-/// Same conditions as [`golden_section`].
-///
-/// # Examples
-///
-/// ```
-/// use resilience_optim::scalar::brent_min;
-/// // Trough of a resilience-like dip curve.
-/// let m = brent_min(|t: f64| -(-((t - 12.0) / 5.0).powi(2)).exp(), 0.0, 40.0, 1e-10, 200)?;
-/// assert!((m.x - 12.0).abs() < 1e-6);
-/// # Ok::<(), resilience_optim::OptimError>(())
-/// ```
-pub fn brent_min<F: Fn(f64) -> f64>(
-    f: F,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<ScalarMinimum, OptimError> {
-    if !(lo < hi) || !lo.is_finite() || !hi.is_finite() {
-        return Err(OptimError::config(
-            "brent_min",
-            format!("need finite lo < hi, got [{lo}, {hi}]"),
-        ));
-    }
-    if !(tol > 0.0) {
-        return Err(OptimError::config(
-            "brent_min",
-            "tolerance must be positive",
-        ));
-    }
-    const CGOLD: f64 = 0.381_966_011_250_105;
-    let mut a = lo;
-    let mut b = hi;
-    let mut x = a + CGOLD * (b - a);
-    let mut w = x;
-    let mut v = x;
-    let mut fx = f(x);
-    let mut fw = fx;
-    let mut fv = fx;
-    let mut d: f64 = 0.0;
-    let mut e: f64 = 0.0;
-    for i in 1..=max_iter {
-        let m = 0.5 * (a + b);
-        let tol1 = tol * x.abs() + 1e-15;
-        let tol2 = 2.0 * tol1;
-        if (x - m).abs() <= tol2 - 0.5 * (b - a) {
-            return Ok(ScalarMinimum {
-                x,
-                f_x: fx,
-                iterations: i,
-            });
-        }
-        let mut use_golden = true;
-        if e.abs() > tol1 {
-            // Try parabolic interpolation through (v, w, x).
-            let r = (x - w) * (fx - fv);
-            let mut q = (x - v) * (fx - fw);
-            let mut p = (x - v) * q - (x - w) * r;
-            q = 2.0 * (q - r);
-            if q > 0.0 {
-                p = -p;
-            }
-            q = q.abs();
-            let e_old = e;
-            e = d;
-            if p.abs() < (0.5 * q * e_old).abs() && p > q * (a - x) && p < q * (b - x) {
-                d = p / q;
-                let u = x + d;
-                if u - a < tol2 || b - u < tol2 {
-                    d = if m > x { tol1 } else { -tol1 };
-                }
-                use_golden = false;
-            }
-        }
-        if use_golden {
-            e = if x < m { b - x } else { a - x };
-            d = CGOLD * e;
-        }
-        let u = if d.abs() >= tol1 {
-            x + d
-        } else if d > 0.0 {
-            x + tol1
-        } else {
-            x - tol1
-        };
-        let fu = f(u);
-        if fu <= fx {
-            if u < x {
-                b = x;
-            } else {
-                a = x;
-            }
-            v = w;
-            fv = fw;
-            w = x;
-            fw = fx;
-            x = u;
-            fx = fu;
-        } else {
-            if u < x {
-                a = u;
-            } else {
-                b = u;
-            }
-            if fu <= fw || w == x {
-                v = w;
-                fv = fw;
-                w = u;
-                fw = fu;
-            } else if fu <= fv || v == x || v == w {
-                v = u;
-                fv = fu;
-            }
-        }
-    }
-    Err(OptimError::BudgetExhausted {
-        best_params: vec![x],
-        best_value: fx,
-        evaluations: max_iter + 1,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,34 +117,5 @@ mod tests {
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn brent_matches_golden_with_fewer_iterations() {
-        let f = |x: f64| (x - 1.7).powi(2) + 0.5 * (3.0 * x).sin().powi(2) * 0.0 + 2.0;
-        let g = golden_section(f, -5.0, 5.0, 1e-10, 500).unwrap();
-        let b = brent_min(f, -5.0, 5.0, 1e-10, 500).unwrap();
-        assert!((g.x - b.x).abs() < 1e-5);
-        assert!(b.iterations <= g.iterations);
-    }
-
-    #[test]
-    fn brent_on_asymmetric_function() {
-        // Minimum of x·ln(x) at x = 1/e.
-        let m = brent_min(|x: f64| x * x.ln(), 0.01, 2.0, 1e-12, 200).unwrap();
-        assert!((m.x - (-1.0f64).exp()).abs() < 1e-7);
-    }
-
-    #[test]
-    fn brent_endpoint_minimum() {
-        // Monotone increasing: minimum at the left endpoint.
-        let m = brent_min(|x| x, 2.0, 5.0, 1e-10, 200).unwrap();
-        assert!((m.x - 2.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn brent_rejects_bad_input() {
-        assert!(brent_min(|x| x, 5.0, 2.0, 1e-8, 100).is_err());
-        assert!(brent_min(|x| x, 0.0, 1.0, 0.0, 100).is_err());
     }
 }

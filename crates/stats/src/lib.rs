@@ -17,10 +17,8 @@
 //!   autocorrelation).
 //! * [`inference`] — normal and Student-t critical values, confidence
 //!   interval helpers.
-//! * [`ols`] — simple ordinary least squares for diagnostics.
 //! * [`rng`] — the workspace's canonical deterministic PRNG
 //!   ([`XorShift64`], [`SplitMix64`], the [`RandomSource`] trait).
-//! * [`sample`] — inverse-transform sampling over any [`RandomSource`].
 //!
 //! # Examples
 //!
@@ -45,9 +43,7 @@ pub mod distribution;
 pub mod empirical;
 pub mod error;
 pub mod inference;
-pub mod ols;
 pub mod rng;
-pub mod sample;
 
 mod exponential;
 mod gamma;

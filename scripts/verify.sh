@@ -30,7 +30,7 @@ timeout -k 30 "$TEST_TIMEOUT" cargo test -q --test fault_injection --test golden
 echo "==> cargo test -q --test runtime_resilience (smoke, hard cap ${SMOKE_TIMEOUT}s)"
 timeout -k 30 "$SMOKE_TIMEOUT" cargo test -q --test runtime_resilience
 
-echo "==> telemetry smoke: traced example -> JSONL log -> fitlog replay (hard cap ${SMOKE_TIMEOUT}s)"
+echo "==> telemetry smoke: traced example -> JSONL log -> obsctl report (hard cap ${SMOKE_TIMEOUT}s)"
 FITLOG_SMOKE="$(mktemp -t fitlog_smoke.XXXXXX.jsonl)"
 OBS_SMOKE_DIR="$(mktemp -d -t obs_smoke.XXXXXX)"
 trap 'rm -f "$FITLOG_SMOKE"; rm -rf "$OBS_SMOKE_DIR"' EXIT
@@ -40,12 +40,12 @@ test -s "$FITLOG_SMOKE" || {
     echo "telemetry smoke: example wrote no event log" >&2
     exit 1
 }
-# The log must parse and replay into a report (fitlog exits non-zero on a
+# The log must parse and replay into a report (obsctl exits non-zero on a
 # malformed line), and the report must cover the example's family pool.
 timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin fitlog -- "$FITLOG_SMOKE" \
+    cargo run -q --release -p resilience-bench --bin obsctl -- report "$FITLOG_SMOKE" \
     | grep -q "Quadratic" || {
-    echo "telemetry smoke: fitlog replay missing expected family row" >&2
+    echo "telemetry smoke: obsctl report missing expected family row" >&2
     exit 1
 }
 
@@ -63,35 +63,21 @@ echo "==> scenario smoke: canonical scenario set deterministic + serial/parallel
 timeout -k 30 "$SMOKE_TIMEOUT" \
     cargo run -q --release -p resilience-bench --bin bench -- --scenario-smoke
 
-echo "==> fleet smoke: 64-cell grid, double-run + serial/Fixed(2) identity gates (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times (serial ×2, Fixed(2) ×1) and fails unless
-# the columnar results stores and obs roll-ups are byte-identical across
-# all runs; regenerates BENCH_fleet.json, which is a pure function of the
-# grid — `git diff` must stay clean after this step.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --fleet-smoke
-
-echo "==> chaos smoke: 64-cell grid under the fixed chaos plan, supervisor gates (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times (serial ×2, Fixed(2) ×1) under the fixed
-# fault-injection plan with the circuit breaker armed (DESIGN.md §14).
-# Fails unless: no cell aborts the fleet, every non-quarantined cell has
-# a finite winning fit, the stores AND the raw event JSONL are
-# byte-identical across all three runs, injections are exactly accounted
-# in counters, and retries stay under the policy ceiling. Regenerates
-# BENCH_chaos.json — a pure function of the grid and the plan.
-timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --chaos-smoke
-
-echo "==> obs smoke: observability gates + obsctl end-to-end (hard cap ${SMOKE_TIMEOUT}s)"
-# Runs the CI fleet three times through the observability gates
-# (DESIGN.md §15): the JSONL logs, span-tree renders, metrics
-# expositions, and stores must be byte-identical across serial ×2 and
-# Fixed(2), every evaluation must be attributed to a cell, and each
-# family must stay under its committed evaluation ceiling. Regenerates
-# BENCH_obs.json — a pure function of the grid — and drops the run's
-# logs into OBS_SMOKE_DIR for the obsctl checks below.
+echo "==> fleet + obs smoke: 64-cell grid, repeatability + observability gates, obsctl end-to-end (hard cap ${SMOKE_TIMEOUT}s)"
+# Runs the CI fleet once as three passes (serial ×2, Fixed(2) ×1) and
+# evaluates both gate sets on them. Repeatability (DESIGN.md §13): the
+# columnar results stores and obs roll-ups must be byte-identical across
+# all passes. Observability (DESIGN.md §15): the JSONL logs, span-tree
+# renders, and metrics expositions must be byte-identical too, every
+# evaluation must be attributed to a cell, and each family must stay
+# under its committed evaluation ceiling. Regenerates BENCH_fleet.json
+# and BENCH_obs.json — pure functions of the grid, so `git diff` must
+# stay clean after this step — and drops the run's logs into
+# OBS_SMOKE_DIR for the obsctl checks below. The verdict lines print the
+# detected core count: the Fixed(2) identity gate only exercises real
+# concurrency when it is above 1.
 OBS_SMOKE_DIR="$OBS_SMOKE_DIR" timeout -k 30 "$SMOKE_TIMEOUT" \
-    cargo run -q --release -p resilience-bench --bin bench -- fleet --obs-smoke
+    cargo run -q --release -p resilience-bench --bin bench -- fleet --fleet-smoke
 
 # obsctl diff of the serial vs rerun logs must be empty (exit 0); a
 # non-empty diff means the telemetry plane itself is nondeterministic.
@@ -128,6 +114,17 @@ timeout -k 30 "$SMOKE_TIMEOUT" \
     echo "obs smoke: obsctl top produced no ranking" >&2
     exit 1
 }
+
+echo "==> chaos smoke: 64-cell grid under the fixed chaos plan, supervisor gates (hard cap ${SMOKE_TIMEOUT}s)"
+# Runs the CI fleet three times (serial ×2, Fixed(2) ×1) under the fixed
+# fault-injection plan with the circuit breaker armed (DESIGN.md §14).
+# Fails unless: no cell aborts the fleet, every non-quarantined cell has
+# a finite winning fit, the stores AND the raw event JSONL are
+# byte-identical across all three runs, injections are exactly accounted
+# in counters, and retries stay under the policy ceiling. Regenerates
+# BENCH_chaos.json — a pure function of the grid and the plan.
+timeout -k 30 "$SMOKE_TIMEOUT" \
+    cargo run -q --release -p resilience-bench --bin bench -- fleet --chaos-smoke
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check

@@ -5,11 +5,11 @@
 //! `predict_params_into` over reusable scratch — performs **zero** heap
 //! allocations, and the Nelder–Mead iteration loop allocates nothing
 //! beyond its setup buffers. A counting global allocator makes both
-//! contracts a hard test instead of a code-review convention.
+//! contracts a hard test instead of a code-review convention. It counts
+//! per thread, so the tests stay exact under libtest's parallel runner.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
 use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
 use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
@@ -23,23 +23,34 @@ use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so tests running concurrently on libtest's threads
+    // never count each other's allocations. Every measured section runs
+    // on the measuring thread (Parallelism::Serial), so nothing it does
+    // is missed. A const-initialized `Cell` has no destructor and never
+    // allocates, which keeps it usable from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// Counting is Relaxed: the tests are single-threaded around the measured
-// sections (Parallelism::Serial), so the counter needs no ordering.
+fn bump() {
+    // `try_with` fails only while the thread is being torn down, when
+    // there is nothing left to measure.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -51,14 +62,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Minimum allocation delta over `reps` runs of `f`. The libtest harness
-/// occasionally allocates on its own threads (output capture, bookkeeping)
-/// inside a measured window; that noise only ever adds to the count, so the
-/// minimum over a few repetitions recovers the true footprint of `f`.
+/// Minimum allocation delta of the calling thread over `reps` runs of `f`.
 fn min_delta(reps: usize, mut f: impl FnMut()) -> u64 {
     (0..reps)
         .map(|_| {

@@ -362,6 +362,7 @@ fn hjorth_distribution_invariants() {
 #[test]
 fn nelder_mead_never_worsens() {
     use resilience_optim::nelder_mead::{NelderMead, NelderMeadConfig};
+    use resilience_optim::Control;
     let mut rng = XorShift64::new(0xA00E);
     for case in 0..CASES {
         let x0 = uniform_vec(&mut rng, -5.0, 5.0, 1, 4);
@@ -369,7 +370,7 @@ fn nelder_mead_never_worsens() {
         let f = move |p: &[f64]| p.iter().map(|x| (x - shift) * (x - shift)).sum::<f64>();
         let start_value = f(&x0);
         let report = NelderMead::new(NelderMeadConfig::default())
-            .minimize(&f, &x0)
+            .minimize(&f, &x0, &Control::unbounded())
             .unwrap();
         assert!(report.value <= start_value + 1e-12, "case {case}");
     }
