@@ -547,20 +547,22 @@ fn run_fleet_mode(path: &str, report: &FleetReport) -> bool {
 /// Runs the chaos-smoke evaluation (`bench fleet --chaos-smoke`): the
 /// 64-cell CI grid under the fixed chaos plan, gated on no-abort,
 /// well-formed survivors, byte-identical stores + event JSONL across
-/// serial ×2 and `Fixed(2)` passes, accounted injection, and bounded
-/// retries. Writes `BENCH_chaos.json` only when every gate holds.
+/// serial ×2 and `Fixed(2)` passes, accounted injection, bounded
+/// retries, and a span tree that covers every job. Writes
+/// `BENCH_chaos.json` only when every gate holds.
 fn run_chaos_mode(path: &str, report: &ChaosReport) -> bool {
     if !report.gates_pass() {
         eprintln!(
             "chaos: gates failed (no_abort={} well_formed={} rerun={} parallel={} \
-             accounted={} retries_bounded={}; injected={} breaker_opened={} half_open={} \
-             quarantined={} retries={}/{}) cores={} — refusing to overwrite {path}",
+             accounted={} retries_bounded={} tree_covered={}; injected={} breaker_opened={} \
+             half_open={} quarantined={} retries={}/{}) cores={} — refusing to overwrite {path}",
             report.no_abort,
             report.well_formed,
             report.identical_rerun,
             report.identical_parallel,
             report.chaos_accounted,
             report.retries_bounded,
+            report.tree_covered,
             report.chaos_injected,
             report.breaker_opened,
             report.breaker_half_open,

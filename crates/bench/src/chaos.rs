@@ -17,12 +17,16 @@
 //! 5. **accounted injection**: the `chaos_injected` counter equals the
 //!    number of `chaos_injected` events, and the plan actually fired
 //!    (injections, breaker trips and quarantines are all non-zero — a
-//!    chaos smoke that injects nothing proves nothing).
+//!    chaos smoke that injects nothing proves nothing);
+//! 6. **tree covered**: the span tree has one cell per grid cell and one
+//!    fit per family in each, with all of the roll-up's evaluations
+//!    attributed ([`tree_covers`]) — so the per-cell `evals` column is
+//!    charged to the cells that did the work.
 //!
 //! The verdict is written to `BENCH_chaos.json` with no wall-clock and no
 //! machine identifiers: regenerating it anywhere yields the same bytes.
 
-use crate::fleet::{cell_work, FleetStore, QUARANTINED_BITS};
+use crate::fleet::{cell_work, tree_covers, FleetStore, QUARANTINED_BITS};
 use resilience_core::chaos::ChaosPlan;
 use resilience_core::fit::FitConfig;
 use resilience_core::model::ModelFamily;
@@ -85,6 +89,8 @@ pub struct ChaosRun {
     pub events_jsonl: String,
     /// Aggregated counters/histograms (deterministic, no wall-clock).
     pub report: RunReport,
+    /// Span tree of the pass; the store's work columns come from it.
+    pub tree: SpanTree,
     /// Number of cells the supervisor quarantined.
     pub quarantined_cells: usize,
     /// Whether any cell came back [`CellOutcome::Stopped`] — a fleet
@@ -158,6 +164,7 @@ pub fn run_fleet_chaos(
         store,
         events_jsonl,
         report,
+        tree,
         quarantined_cells,
         aborted,
     }
@@ -186,6 +193,9 @@ pub struct ChaosReport {
     pub chaos_accounted: bool,
     /// Gate: retries ≤ (max_attempts − 1) × jobs.
     pub retries_bounded: bool,
+    /// Gate: the canonical run's span tree covers every job and all of
+    /// its evaluations ([`tree_covers`]).
+    pub tree_covered: bool,
     /// `chaos_injected` total of the canonical run.
     pub chaos_injected: u64,
     /// `breaker_opened` total of the canonical run.
@@ -204,14 +214,6 @@ pub struct ChaosReport {
     pub runs: usize,
 }
 
-fn counter(report: &RunReport, id: CounterId) -> u64 {
-    report
-        .counters
-        .iter()
-        .find(|(c, _)| *c == id)
-        .map_or(0, |(_, v)| *v)
-}
-
 impl ChaosReport {
     /// Whether every chaos gate held.
     #[must_use]
@@ -222,6 +224,7 @@ impl ChaosReport {
             && self.identical_parallel
             && self.chaos_accounted
             && self.retries_bounded
+            && self.tree_covered
     }
 
     /// The `BENCH_chaos.json` document: gates, exercised-path counts, the
@@ -240,6 +243,7 @@ impl ChaosReport {
              \"runs\": {},\n  \"no_abort\": {},\n  \"well_formed\": {},\n  \
              \"identical_rerun\": {},\n  \"identical_parallel\": {},\n  \
              \"chaos_accounted\": {},\n  \"retries_bounded\": {},\n  \
+             \"tree_covered\": {},\n  \
              \"plan\": {{\"seed\": {}, \"panic_per_mille\": {}, \"deadline_per_mille\": {}, \
              \"exhaustion_per_mille\": {}, \"observer_loss_per_mille\": {}, \
              \"transient_per_mille\": {}}},\n  \
@@ -255,6 +259,7 @@ impl ChaosReport {
             self.identical_parallel,
             self.chaos_accounted,
             self.retries_bounded,
+            self.tree_covered,
             p.seed,
             p.panic_per_mille,
             p.deadline_per_mille,
@@ -308,25 +313,26 @@ pub fn evaluate_chaos_fleet(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) 
         }
     });
 
-    let chaos_injected = counter(&run1.report, CounterId::ChaosInjected);
+    let chaos_injected = run1.report.counter(CounterId::ChaosInjected);
     let injected_events = run1
         .events_jsonl
         .lines()
         .filter(|l| l.contains("\"ev\":\"chaos_injected\""))
         .count() as u64;
-    let breaker_opened = counter(&run1.report, CounterId::BreakerOpened);
-    let breaker_half_open = counter(&run1.report, CounterId::BreakerHalfOpen);
-    let cells_quarantined = counter(&run1.report, CounterId::CellsQuarantined);
+    let breaker_opened = run1.report.counter(CounterId::BreakerOpened);
+    let breaker_half_open = run1.report.counter(CounterId::BreakerHalfOpen);
+    let cells_quarantined = run1.report.counter(CounterId::CellsQuarantined);
     let chaos_accounted = chaos_injected == injected_events
         && chaos_injected > 0
         && breaker_opened > 0
         && cells_quarantined == run1.quarantined_cells as u64
         && cells_quarantined > 0;
 
-    let retries = counter(&run1.report, CounterId::Retries);
+    let retries = run1.report.counter(CounterId::Retries);
     let max_attempts = chaos_policy().retry.map_or(1, |r| r.max_attempts) as u64;
     let retry_ceiling = (max_attempts - 1) * (grid.len() * families.len()) as u64;
     let retries_bounded = retries <= retry_ceiling;
+    let tree_covered = tree_covers(&run1.tree, grid.len(), families.len(), &run1.report);
 
     ChaosReport {
         families: families.iter().map(|f| f.name().to_string()).collect(),
@@ -338,6 +344,7 @@ pub fn evaluate_chaos_fleet(grid: &ScenarioGrid, families: &[&dyn ModelFamily]) 
         identical_parallel,
         chaos_accounted,
         retries_bounded,
+        tree_covered,
         chaos_injected,
         breaker_opened,
         breaker_half_open,
@@ -408,11 +415,13 @@ mod tests {
         assert!(report.identical_rerun);
         assert!(report.identical_parallel);
         assert!(report.retries_bounded);
+        assert!(report.tree_covered);
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"chaos-fleet\"",
             "\"plan\"",
             "\"chaos_injected\"",
+            "\"tree_covered\": true",
             "\"quarantined\": [",
             "\"rollup\"",
         ] {

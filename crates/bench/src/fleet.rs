@@ -32,7 +32,7 @@ use resilience_core::runtime::{rank_fleet_supervised, CellOutcome, Control, Exec
 use resilience_core::selection::Ranking;
 use resilience_data::scenario::{GridScenario, NoiseLevel, ScenarioGrid, ShapeKind};
 use resilience_data::PerformanceSeries;
-use resilience_obs::{Event, HistogramId, RecordingObserver, RunReport, SpanTree};
+use resilience_obs::{CounterId, Event, HistogramId, RecordingObserver, RunReport, SpanTree};
 use resilience_optim::Parallelism;
 use std::sync::Arc;
 // Sanctioned wall-clock: `wall_ns` is stdout-only progress reporting,
@@ -75,6 +75,17 @@ pub fn cell_work(tree: &SpanTree, cell: usize) -> CellWork {
             evaluations: c.evaluations(),
             retries: c.retries(),
         })
+}
+
+/// Whether `tree` reconstructs exactly the fleet that ran: `cells` cells
+/// of `families` fits each, no unattributed evaluations, and every
+/// objective evaluation the roll-up `report` counted.
+#[must_use]
+pub fn tree_covers(tree: &SpanTree, cells: usize, families: usize, report: &RunReport) -> bool {
+    tree.cells.len() == cells
+        && tree.cells.iter().all(|c| c.fits.len() == families)
+        && tree.unattributed_evaluations == 0
+        && tree.evaluations() == report.counter(CounterId::ObjectiveEvals)
 }
 
 /// Columnar results store for one fleet run: one entry per grid cell, in

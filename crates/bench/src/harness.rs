@@ -126,7 +126,7 @@ pub fn bench<T, F: FnMut() -> T>(
     }
 }
 
-/// [`bench`], but sampling stops once `budget` of timed wall-clock has
+/// [`bench()`], but sampling stops once `budget` of timed wall-clock has
 /// been spent — the bench-harness analogue of the library's execution
 /// deadlines (DESIGN.md §9), so one slow configuration cannot stall a
 /// whole bench sweep.

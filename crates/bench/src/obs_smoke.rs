@@ -14,7 +14,9 @@
 //! 4. **identical_store** — the columnar stores (now carrying the
 //!    span-tree work columns) are byte-identical;
 //! 5. **cells_covered** — the span tree reconstructs exactly one cell
-//!    per grid cell, with zero unattributed evaluations;
+//!    per grid cell and one fit per family in each, with zero
+//!    unattributed evaluations and the roll-up's evaluation total
+//!    ([`tree_covers`]);
 //! 6. **work_attributed** — the per-cell work columns sum to the
 //!    roll-up's per-family evaluation totals;
 //! 7. **within_budget** — each family's evaluation total stays under its
@@ -26,7 +28,7 @@
 //! ceilings, and the top-K hottest cells. No wall-clock, no machine
 //! identifiers — CI regenerates it and `git diff` stays clean.
 
-use crate::fleet::FleetRun;
+use crate::fleet::{tree_covers, FleetRun};
 use crate::harness::json_escape;
 use resilience_core::model::ModelFamily;
 use resilience_data::scenario::ScenarioGrid;
@@ -100,7 +102,8 @@ pub struct ObsSmokeReport {
     pub identical_metrics: bool,
     /// Gate 4: the three columnar stores are byte-identical.
     pub identical_store: bool,
-    /// Gate 5: one span-tree cell per grid cell, zero unattributed work.
+    /// Gate 5: one span-tree cell per grid cell and one fit per family,
+    /// all work attributed ([`tree_covers`]).
     pub cells_covered: bool,
     /// Gate 6: work columns sum to the roll-up's family totals.
     pub work_attributed: bool,
@@ -258,7 +261,7 @@ pub fn evaluate_obs_smoke(
     let identical_store =
         store_bytes == run2.store.columns_json() && store_bytes == run3.store.columns_json();
 
-    let cells_covered = tree.cells.len() == grid.len() && tree.unattributed_evaluations == 0;
+    let cells_covered = tree_covers(&tree, grid.len(), families.len(), &run1.report);
     let column_total: u64 = run1.store.evals.iter().sum();
     let family_total: u64 = run1.report.families.iter().map(|f| f.evaluations).sum();
     let work_attributed = column_total == family_total && column_total > 0;

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// A synthetic two-cell fleet log: each cell fits Quadratic then Glacial.
+/// It has no `job` markers, like logs written before they existed.
 const LOG: &str = "\
 {\"ev\":\"fit_started\",\"family\":\"Quadratic\",\"starts\":3}\n\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":12}\n\
@@ -23,6 +24,24 @@ const LOG: &str = "\
 {\"ev\":\"counter\",\"id\":\"objective_evals\",\"n\":40}\n\
 {\"ev\":\"fit_finished\",\"family\":\"Glacial\",\"sse\":2.5,\"evals\":40,\"converged\":false}\n\
 {\"ev\":\"hist\",\"id\":\"evals_per_fit\",\"value\":40}\n";
+
+/// `LOG` as the fleet runtime writes it: a `job` marker names the
+/// (cell, family) slot of each four-line job, and the span tree folds on it.
+fn fleet_log() -> String {
+    let lines: Vec<&str> = LOG.split_inclusive('\n').collect();
+    let jobs = [
+        (0, "Quadratic"),
+        (0, "Glacial"),
+        (1, "Quadratic"),
+        (1, "Glacial"),
+    ];
+    let mut out = String::new();
+    for (job, (cell, family)) in lines.chunks(4).zip(jobs) {
+        out += &format!("{{\"ev\":\"job\",\"cell\":{cell},\"family\":\"{family}\"}}\n");
+        out += &job.concat();
+    }
+    out
+}
 
 /// `LOG` with one field changed (the second Glacial fit's eval count).
 const LOG_DRIFTED: &str = "\
@@ -88,7 +107,7 @@ fn report_renders_the_family_table() {
 
 #[test]
 fn tree_reconstructs_cells_and_honors_depth_and_cells_flags() {
-    let log = fixture("tree.jsonl", LOG);
+    let log = fixture("tree.jsonl", &fleet_log());
     let out = obsctl(&["tree", log.to_str().unwrap()]);
     assert_eq!(code(&out), 0);
     let text = stdout(&out);
@@ -114,11 +133,19 @@ fn tree_reconstructs_cells_and_honors_depth_and_cells_flags() {
         !shallow.contains("Quadratic:"),
         "depth cap ignored: {shallow}"
     );
+
+    // Without job markers the fits have no cells; the work stays counted.
+    let legacy = fixture("tree-legacy.jsonl", LOG);
+    let text = stdout(&obsctl(&["tree", legacy.to_str().unwrap()]));
+    assert!(
+        text.starts_with("fleet: 0 cells, 0 fits, 90 evals, 0 retries, 90 unattributed evals"),
+        "unexpected header: {text}"
+    );
 }
 
 #[test]
 fn top_ranks_hottest_cells_and_families() {
-    let log = fixture("top.jsonl", LOG);
+    let log = fixture("top.jsonl", &fleet_log());
     let out = obsctl(&["top", log.to_str().unwrap(), "--limit", "1"]);
     assert_eq!(code(&out), 0);
     let text = stdout(&out);

@@ -13,8 +13,7 @@
 //! * [`rank_models_supervised`] — [`crate::selection::rank_models`] under
 //!   an [`ExecPolicy`]: per-family time budgets, optional retry, and
 //!   per-family panic isolation. Failures degrade the
-//!   [`Ranking`](crate::selection::Ranking) (`degraded: true`, typed
-//!   [`FailureKind`](crate::selection::FailureKind) reasons) instead of
+//!   [`Ranking`] (`degraded: true`, typed [`FailureKind`] reasons) instead of
 //!   poisoning it.
 //!
 //! Everything here preserves the workspace's determinism contract: retry
@@ -814,8 +813,9 @@ pub fn rank_fleet_supervised(
             )
         });
 
-        // Serial reduction in flattened input order: replay each job's
-        // event buffer, update the breaker machine, and assemble cells.
+        // Serial reduction in flattened input order: mark and replay each
+        // job's event buffer (verdicts below belong to the job too),
+        // update the breaker machine, and assemble cells.
         let mut outcomes = outcomes.into_iter();
         for (w, cell) in (wave_start..wave_end).enumerate() {
             let mut rows = Vec::new();
@@ -825,6 +825,10 @@ pub fn rank_fleet_supervised(
                 let clock = (cell * nf + f) as u64;
                 let family = families[f].name();
                 if let (Some(recs), Some(sink)) = (recorders.as_ref(), control.observer()) {
+                    sink.record(&Event::Job {
+                        cell: cell as u32,
+                        family,
+                    });
                     replay(&recs[j].take(), sink.as_ref());
                 }
                 let outcome = outcomes.next().expect("one outcome per wave job");

@@ -324,6 +324,15 @@ impl HistogramId {
 /// events and replays them in index order).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
+    /// The runtime is about to replay one (cell, family) job's buffer.
+    /// Every later event belongs to this job up to the next `job` event:
+    /// the job's own telemetry and the reduction's verdicts for it.
+    Job {
+        /// Fleet cell index (0 for single-series runs).
+        cell: u32,
+        /// Family name (interned).
+        family: &'static str,
+    },
     /// A family fit began; `starts` is the number of multi-start seeds.
     FitStarted {
         /// Family name (interned).
@@ -510,6 +519,7 @@ impl Event {
     /// The event's `"ev"` tag in the JSONL encoding.
     pub const fn tag(&self) -> &'static str {
         match self {
+            Event::Job { .. } => "job",
             Event::FitStarted { .. } => "fit_started",
             Event::FitFinished { .. } => "fit_finished",
             Event::FitFailed { .. } => "fit_failed",
@@ -537,6 +547,10 @@ impl Event {
         out.push_str(self.tag());
         out.push('"');
         match *self {
+            Event::Job { cell, family } => {
+                let _ = write!(out, ",\"cell\":{cell},\"family\":");
+                write_json_str(out, family);
+            }
             Event::FitStarted { family, starts } => {
                 out.push_str(",\"family\":");
                 write_json_str(out, family);
@@ -674,6 +688,7 @@ impl Event {
     pub fn examples() -> Vec<Event> {
         let family = "Quadratic";
         let mut out = vec![
+            Event::Job { cell: 7, family },
             Event::FitStarted { family, starts: 8 },
             Event::FitFinished {
                 family,
@@ -777,7 +792,8 @@ impl Event {
         // match until it is represented above.
         for e in &out {
             match e {
-                Event::FitStarted { .. }
+                Event::Job { .. }
+                | Event::FitStarted { .. }
                 | Event::FitFinished { .. }
                 | Event::FitFailed { .. }
                 | Event::StartBegan { .. }

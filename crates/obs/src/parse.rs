@@ -299,6 +299,10 @@ pub fn parse_line(line: &str) -> Result<Event, ParseError> {
     }
     let tag = fields.str("ev")?.to_owned();
     let event = match tag.as_str() {
+        "job" => Event::Job {
+            cell: fields.u32("cell")?,
+            family: fields.interned("family")?,
+        },
         "fit_started" => Event::FitStarted {
             family: fields.interned("family")?,
             starts: fields.u32("starts")?,
@@ -563,6 +567,16 @@ mod tests {
         let de = "{\"ev\":\"iteration\",\"solver\":\"de\",\"iter\":1,\"evals\":2,\"best\":0.5}";
         assert!(parse_line(de).is_err());
         assert!(parse_line("{\"ev\":\"counter\",\"id\":\"sa_accepted\",\"n\":1}").is_err());
+        // Job markers without a cell, or with one outside u32, are typed
+        // errors reported on their own line.
+        for bad in [
+            "{\"ev\":\"job\",\"family\":\"Q\"}",
+            "{\"ev\":\"job\",\"cell\":4294967296,\"family\":\"Q\"}",
+            "{\"ev\":\"job\",\"cell\":-1,\"family\":\"Q\"}",
+        ] {
+            let err = parse_log(&format!("{{\"ev\":\"start\",\"index\":0}}\n{bad}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}: {err}");
+        }
     }
 
     #[test]

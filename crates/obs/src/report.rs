@@ -379,6 +379,9 @@ impl RunReport {
                 // their totals arrive as explicit Counter deltas emitted by
                 // the runtime alongside them.
                 Event::ChaosInjected { .. } => {}
+                // Attribution here stays on fit_started/terminal events,
+                // independent of the span tree's job markers.
+                Event::Job { .. } => {}
                 Event::BreakerOpened { .. } => {}
                 Event::BreakerHalfOpen { .. } => {}
                 Event::BreakerClosed { .. } => {}

@@ -1,24 +1,20 @@
 //! Span-tree reconstruction: from a flat event log to the hierarchy
 //! fleet → cell → family fit → attempt → solver.
 //!
-//! [`SpanTree::build`] replays a log (recorded in-process or parsed from
-//! JSONL) and rebuilds the nesting the runtime flattened away, keyed purely
-//! on logical clocks — event order, cell indices carried by chaos and
-//! quarantine events, attempt numbers, and evaluation counters. No
-//! wall-clock values exist anywhere in the input (the workspace clippy ban
-//! enforces this), so the tree built from a log is a pure function of the
-//! log bytes: byte-identical logs yield byte-identical [`SpanTree::render`]
-//! output regardless of the worker count that produced them.
+//! [`SpanTree::build`] folds a log (recorded in-process or parsed from
+//! JSONL) into the nesting the runtime flattened away, keyed purely on
+//! logical clocks — event order, job markers, attempt numbers, and
+//! evaluation counters. No wall-clock values exist anywhere in the input
+//! (the workspace clippy ban enforces this), so the tree built from a log
+//! is a pure function of the log bytes: byte-identical logs yield
+//! byte-identical [`SpanTree::render`] output regardless of the worker
+//! count that produced them.
 //!
-//! Reconstruction relies on the replay discipline established in PR 5/8:
-//! the runtime buffers each (cell, family) job's events and replays the
-//! buffers serially in flattened cell-major order, appending each job's
-//! reduction verdict (`fit_failed`, `worker_panic`, breaker transitions,
-//! `cell_quarantined`) right after the job's own events. Within one job a
-//! retried attempt re-emits `fit_started` (always preceded by
-//! `retry_scheduled`), chaos-exhausted jobs emit no `fit_started` at all,
-//! and an observer-loss job leaves only its `chaos_injected` line — the
-//! builder handles each of these shapes explicitly.
+//! The fold rule: an [`Event::Job`] opens a fit in its cell, and every
+//! later event belongs to that fit until the next `job` — the job's
+//! replayed buffer and the reduction's verdicts alike, so the last
+//! terminal event wins. `retry_scheduled` opens a new attempt; work seen
+//! before the first `job` is unattributed.
 
 use crate::event::{ChaosKind, CounterId, Event, ExitReason, FailureCode, SolverKind, StopKind};
 use crate::report::BootstrapProgress;
@@ -35,7 +31,7 @@ pub enum WorkMetric {
 
 /// One solver activation inside an attempt (a multi-start probe or a
 /// polish pass).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverSpan {
     /// Emitting solver, once an iteration or termination identified it.
     pub solver: Option<SolverKind>,
@@ -51,21 +47,8 @@ pub struct SolverSpan {
     pub value: Option<f64>,
 }
 
-impl SolverSpan {
-    fn new(start_index: Option<u32>) -> Self {
-        Self {
-            solver: None,
-            start_index,
-            iterations: 0,
-            evaluations: 0,
-            exit: None,
-            value: None,
-        }
-    }
-}
-
 /// One fit attempt (attempt 1 is the original try; retries follow).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttemptSpan {
     /// 1-based attempt number.
     pub attempt: u32,
@@ -84,16 +67,13 @@ impl AttemptSpan {
     fn new(attempt: u32) -> Self {
         Self {
             attempt,
-            solvers: Vec::new(),
-            evaluations: 0,
-            stopped: None,
-            chaos: Vec::new(),
+            ..Self::default()
         }
     }
 }
 
 /// How a family fit ended.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum FitOutcome {
     /// A usable model came back.
     Completed {
@@ -107,12 +87,13 @@ pub enum FitOutcome {
     /// The fit terminated without a usable model.
     Failed(FailureCode),
     /// The log ended (or telemetry was lost) before a terminal event.
+    #[default]
     Lost,
 }
 
-/// One family fit inside a cell: the `fit_started` → terminal span, with
-/// its retry attempts nested inside.
-#[derive(Debug, Clone, PartialEq)]
+/// One family fit inside a cell: everything from its `job` event to the
+/// next, with its retry attempts nested inside.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FitSpan {
     /// Family name.
     pub family: &'static str,
@@ -127,14 +108,12 @@ pub struct FitSpan {
 }
 
 impl FitSpan {
-    fn new(family: &'static str) -> Self {
-        Self {
-            family,
-            starts: 0,
-            attempts: Vec::new(),
-            outcome: FitOutcome::Lost,
-            panicked: false,
+    /// The latest attempt, opening attempt 1 on first use.
+    fn attempt_mut(&mut self) -> &mut AttemptSpan {
+        if self.attempts.is_empty() {
+            self.attempts.push(AttemptSpan::new(1));
         }
+        self.attempts.last_mut().expect("attempt pushed above")
     }
 
     /// Objective evaluations attributed to the fit (sum over attempts).
@@ -158,7 +137,7 @@ impl FitSpan {
 }
 
 /// One fleet cell: the family fits of one series, plus supervision facts.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellSpan {
     /// Fleet cell index (0 for single-series runs).
     pub cell: u32,
@@ -168,24 +147,12 @@ pub struct CellSpan {
     pub quarantined: Option<u32>,
     /// Circuit-breaker transitions replayed while this cell was current.
     pub breaker_transitions: u64,
-    /// Evaluations observed in this cell outside any open fit span.
-    pub orphan_evaluations: u64,
 }
 
 impl CellSpan {
-    fn new(cell: u32) -> Self {
-        Self {
-            cell,
-            fits: Vec::new(),
-            quarantined: None,
-            breaker_transitions: 0,
-            orphan_evaluations: 0,
-        }
-    }
-
-    /// Objective evaluations attributed to the cell (fits plus orphans).
+    /// Objective evaluations attributed to the cell.
     pub fn evaluations(&self) -> u64 {
-        self.orphan_evaluations + self.fits.iter().map(FitSpan::evaluations).sum::<u64>()
+        self.fits.iter().map(FitSpan::evaluations).sum()
     }
 
     /// Retry attempts attributed to the cell.
@@ -208,142 +175,57 @@ pub struct SpanTree {
     pub cells: Vec<CellSpan>,
     /// Latest bootstrap progress seen in the log.
     pub bootstrap: Option<BootstrapProgress>,
-    /// Evaluations observed before any cell context existed.
+    /// Evaluations observed before the first `job` event.
     pub unattributed_evaluations: u64,
     /// Total events consumed.
     pub events: u64,
 }
 
-/// Builder state while replaying the log.
+/// Builder state while folding the log.
 struct Builder {
     tree: SpanTree,
-    /// Index of the cell currently receiving events.
-    current: Option<usize>,
-    /// Whether the last fit of the current cell is still open.
-    fit_open: bool,
-    /// A `retry_scheduled` was seen and the attempt's re-emitted
-    /// `fit_started` is expected next.
-    awaiting_retry_start: bool,
+    /// `(cell index, fit index)` of the job receiving events; `None`
+    /// before the first `job` event.
+    job: Option<(usize, usize)>,
 }
 
 impl Builder {
-    fn new() -> Self {
-        Self {
-            tree: SpanTree::default(),
-            current: None,
-            fit_open: false,
-            awaiting_retry_start: false,
-        }
-    }
-
-    /// Cell currently receiving events, creating cell 0 on first use.
-    fn cell_mut(&mut self) -> &mut CellSpan {
-        if self.current.is_none() {
-            self.tree.cells.push(CellSpan::new(0));
-            self.current = Some(0);
-        }
-        let i = self.current.expect("current cell set above");
-        &mut self.tree.cells[i]
-    }
-
-    /// Makes `cell` the current cell, creating intermediate cells as
-    /// needed (cell indices from chaos/quarantine events are
-    /// authoritative). Any fit left open in another cell lost its
-    /// terminal event and is closed as [`FitOutcome::Lost`].
-    fn advance_to_cell(&mut self, cell: u32) {
-        let idx = cell as usize;
-        if self.current == Some(idx) {
-            return;
-        }
-        self.close_open_fit();
-        while self.tree.cells.len() <= idx {
-            let next = self.tree.cells.len() as u32;
-            self.tree.cells.push(CellSpan::new(next));
-        }
-        self.current = Some(idx);
-    }
-
-    /// Starts the next sequential cell (job replay crossed a cell
-    /// boundary without an explicit cell-indexed event).
-    fn start_next_cell(&mut self) {
-        self.close_open_fit();
+    /// Opens the span of the job a `job` event announces, creating cells
+    /// up to `cell`.
+    fn start_job(&mut self, cell: u32, family: &'static str) {
         let next = self.tree.cells.len() as u32;
-        self.tree.cells.push(CellSpan::new(next));
-        self.current = Some(self.tree.cells.len() - 1);
+        self.tree.cells.extend((next..=cell).map(|cell| CellSpan {
+            cell,
+            ..CellSpan::default()
+        }));
+        let fits = &mut self.tree.cells[cell as usize].fits;
+        fits.push(FitSpan {
+            family,
+            ..FitSpan::default()
+        });
+        self.job = Some((cell as usize, fits.len() - 1));
     }
 
-    /// Closes a still-open fit as lost (no terminal event arrived).
-    fn close_open_fit(&mut self) {
-        self.fit_open = false;
-        self.awaiting_retry_start = false;
+    fn cell_mut(&mut self) -> Option<&mut CellSpan> {
+        let (c, _) = self.job?;
+        Some(&mut self.tree.cells[c])
     }
 
-    /// The open fit, if any (always the last fit of the current cell).
-    fn open_fit_mut(&mut self) -> Option<&mut FitSpan> {
-        if !self.fit_open {
-            return None;
-        }
-        let i = self.current?;
-        self.tree.cells[i].fits.last_mut()
+    fn fit_mut(&mut self) -> Option<&mut FitSpan> {
+        let (c, f) = self.job?;
+        Some(&mut self.tree.cells[c].fits[f])
     }
 
-    /// Family of the open fit, if any.
-    fn open_family(&self) -> Option<&'static str> {
-        if !self.fit_open {
-            return None;
-        }
-        let i = self.current?;
-        self.tree.cells[i].fits.last().map(|f| f.family)
-    }
-
-    /// A new job for `family` is starting: close any open fit (the
-    /// previous job is over) and, when the current cell already ran this
-    /// family, advance to the next cell. Per-cell family rosters repeat
-    /// identically across cells, so a repeated family is exactly the
-    /// cell boundary.
-    fn job_boundary(&mut self, family: &'static str) {
-        if self.open_family().is_some_and(|f| f != family) {
-            self.close_open_fit();
-        }
-        let repeated = self
-            .current
-            .map(|i| &self.tree.cells[i])
-            .is_some_and(|c| c.fits.iter().any(|f| f.family == family));
-        if repeated {
-            self.start_next_cell();
-        }
-    }
-
-    /// Opens a fresh fit (with attempt 1 ready for work) and marks it open.
-    fn open_fit(&mut self, family: &'static str) -> &mut FitSpan {
-        let cell = self.cell_mut();
-        let mut fit = FitSpan::new(family);
-        fit.attempts.push(AttemptSpan::new(1));
-        cell.fits.push(fit);
-        self.fit_open = true;
-        self.awaiting_retry_start = false;
-        self.current
-            .and_then(|i| self.tree.cells[i].fits.last_mut())
-            .expect("fit pushed above")
-    }
-
-    /// The open fit's current attempt, if a fit is open.
     fn attempt_mut(&mut self) -> Option<&mut AttemptSpan> {
-        let fit = self.open_fit_mut()?;
-        if fit.attempts.is_empty() {
-            fit.attempts.push(AttemptSpan::new(1));
-        }
-        fit.attempts.last_mut()
+        self.fit_mut().map(FitSpan::attempt_mut)
     }
 
-    /// Charges `delta` evaluations to the innermost open scope.
+    /// Charges `delta` evaluations to the current attempt, or to the
+    /// unattributed pool before the first job.
     fn charge_evaluations(&mut self, delta: u64) {
-        if let Some(attempt) = self.attempt_mut() {
-            attempt.evaluations += delta;
-        } else if self.current.is_some() {
-            self.cell_mut().orphan_evaluations += delta;
-        } else {
-            self.tree.unattributed_evaluations += delta;
+        match self.attempt_mut() {
+            Some(attempt) => attempt.evaluations += delta,
+            None => self.tree.unattributed_evaluations += delta,
         }
     }
 
@@ -356,7 +238,7 @@ impl Builder {
             .last()
             .is_some_and(|s| s.exit.is_none() && s.solver.is_none_or(|k| k == solver));
         if !reuse {
-            attempt.solvers.push(SolverSpan::new(None));
+            attempt.solvers.push(SolverSpan::default());
         }
         let span = attempt.solvers.last_mut().expect("span pushed above");
         span.solver = Some(solver);
@@ -366,75 +248,38 @@ impl Builder {
     fn consume(&mut self, event: &Event) {
         self.tree.events += 1;
         match *event {
-            Event::FitStarted { family, starts } => {
-                let retry = self.awaiting_retry_start && self.open_family() == Some(family);
-                if retry {
-                    // A retried attempt re-emits fit_started; the attempt
-                    // span was already opened by retry_scheduled.
-                    self.awaiting_retry_start = false;
-                    if let Some(fit) = self.open_fit_mut() {
-                        fit.starts = starts;
-                    }
-                } else {
-                    self.job_boundary(family);
-                    self.open_fit(family).starts = starts;
+            Event::Job { cell, family } => self.start_job(cell, family),
+            Event::FitStarted { starts, .. } => {
+                if let Some(fit) = self.fit_mut() {
+                    fit.attempt_mut();
+                    fit.starts = starts;
                 }
             }
             Event::FitFinished {
-                family,
                 sse,
                 evaluations,
                 converged,
+                ..
             } => {
-                if self.open_family() != Some(family) {
-                    self.job_boundary(family);
-                    self.open_fit(family);
-                }
-                if let Some(fit) = self.open_fit_mut() {
+                if let Some(fit) = self.fit_mut() {
                     fit.outcome = FitOutcome::Completed {
                         sse,
                         evaluations,
                         converged,
                     };
                 }
-                self.close_open_fit();
             }
-            Event::FitFailed { family, kind } => {
-                if self.open_family() != Some(family) {
-                    // A completed fit the selection layer then rejected
-                    // (e.g. a degenerate SSE failing the ranking
-                    // criteria) re-terminates as `fit_failed` right
-                    // after its `fit_finished`: attach the verdict to
-                    // that fit instead of inventing a phantom job.
-                    let rejected = !self.fit_open
-                        && self
-                            .current
-                            .and_then(|i| self.tree.cells[i].fits.last())
-                            .is_some_and(|f| {
-                                f.family == family
-                                    && matches!(f.outcome, FitOutcome::Completed { .. })
-                            });
-                    if rejected {
-                        let i = self.current.expect("checked above");
-                        let fit = self.tree.cells[i].fits.last_mut().expect("checked above");
-                        fit.outcome = FitOutcome::Failed(kind);
-                        return;
-                    }
-                    // A fit that never emitted its own events (breaker
-                    // skip, empty-buffer panic): record a closed fit.
-                    self.job_boundary(family);
-                    let cell = self.cell_mut();
-                    cell.fits.push(FitSpan::new(family));
-                    self.fit_open = true;
-                }
-                if let Some(fit) = self.open_fit_mut() {
+            Event::FitFailed { kind, .. } => {
+                if let Some(fit) = self.fit_mut() {
                     fit.outcome = FitOutcome::Failed(kind);
                 }
-                self.close_open_fit();
             }
             Event::StartBegan { index } => {
                 if let Some(attempt) = self.attempt_mut() {
-                    attempt.solvers.push(SolverSpan::new(Some(index)));
+                    attempt.solvers.push(SolverSpan {
+                        start_index: Some(index),
+                        ..SolverSpan::default()
+                    });
                 }
             }
             Event::Iteration {
@@ -462,35 +307,22 @@ impl Builder {
                     span.value = Some(value);
                 }
             }
-            Event::RetryScheduled { family, attempt } => {
-                if self.open_family() != Some(family) {
-                    // Chaos retry-exhaustion jobs schedule retries without
-                    // ever reaching fit_started; chaos_injected usually
-                    // opened the fit already, but open one defensively.
-                    self.job_boundary(family);
-                    self.open_fit(family);
-                }
-                if let Some(fit) = self.open_fit_mut() {
+            Event::RetryScheduled { attempt, .. } => {
+                if let Some(fit) = self.fit_mut() {
+                    fit.attempt_mut();
                     fit.attempts.push(AttemptSpan::new(attempt));
                 }
-                self.awaiting_retry_start = true;
             }
             Event::Stop {
                 kind, evaluations, ..
             } => {
+                self.charge_evaluations(evaluations);
                 if let Some(attempt) = self.attempt_mut() {
-                    attempt.evaluations += evaluations;
                     attempt.stopped = Some(kind);
-                } else {
-                    self.charge_evaluations(evaluations);
                 }
             }
-            Event::WorkerPanic { scope, .. } => {
-                if self.open_family() != Some(scope) {
-                    self.job_boundary(scope);
-                    self.open_fit(scope);
-                }
-                if let Some(fit) = self.open_fit_mut() {
+            Event::WorkerPanic { .. } => {
+                if let Some(fit) = self.fit_mut() {
                     fit.panicked = true;
                 }
             }
@@ -505,14 +337,7 @@ impl Builder {
                     failed,
                 });
             }
-            Event::ChaosInjected { kind, cell, family } => {
-                // The carried cell index is authoritative — no roster
-                // heuristics here.
-                self.advance_to_cell(cell);
-                if self.open_family() != Some(family) {
-                    self.close_open_fit();
-                    self.open_fit(family);
-                }
+            Event::ChaosInjected { kind, .. } => {
                 if let Some(attempt) = self.attempt_mut() {
                     attempt.chaos.push(kind);
                 }
@@ -520,11 +345,14 @@ impl Builder {
             Event::BreakerOpened { .. }
             | Event::BreakerHalfOpen { .. }
             | Event::BreakerClosed { .. } => {
-                self.cell_mut().breaker_transitions += 1;
+                if let Some(cell) = self.cell_mut() {
+                    cell.breaker_transitions += 1;
+                }
             }
-            Event::CellQuarantined { cell, failures } => {
-                self.advance_to_cell(cell);
-                self.cell_mut().quarantined = Some(failures);
+            Event::CellQuarantined { failures, .. } => {
+                if let Some(cell) = self.cell_mut() {
+                    cell.quarantined = Some(failures);
+                }
             }
             Event::Counter { id, delta } => {
                 if id == CounterId::ObjectiveEvals {
@@ -542,11 +370,13 @@ impl SpanTree {
     where
         I: IntoIterator<Item = &'a Event>,
     {
-        let mut builder = Builder::new();
+        let mut builder = Builder {
+            tree: SpanTree::default(),
+            job: None,
+        };
         for event in events {
             builder.consume(event);
         }
-        builder.close_open_fit();
         builder.tree
     }
 
@@ -626,9 +456,6 @@ impl SpanTree {
             }
             if cell.breaker_transitions > 0 {
                 let _ = write!(out, ", {} breaker transitions", cell.breaker_transitions);
-            }
-            if cell.orphan_evaluations > 0 {
-                let _ = write!(out, ", {} orphan evals", cell.orphan_evaluations);
             }
             out.push('\n');
             if max_depth < 2 {
@@ -717,6 +544,10 @@ mod tests {
     use crate::event::HistogramId;
     use crate::parse::intern;
 
+    fn job(cell: u32, family: &'static str) -> Event {
+        Event::Job { cell, family }
+    }
+
     fn started(family: &'static str) -> Event {
         Event::FitStarted { family, starts: 4 }
     }
@@ -725,6 +556,22 @@ mod tests {
         Event::Counter {
             id: CounterId::ObjectiveEvals,
             delta,
+        }
+    }
+
+    fn failed(family: &'static str, kind: FailureCode) -> Event {
+        Event::FitFailed { family, kind }
+    }
+
+    fn chaos(kind: ChaosKind, cell: u32, family: &'static str) -> Event {
+        Event::ChaosInjected { kind, cell, family }
+    }
+
+    fn deadline(evaluations: u64) -> Event {
+        Event::Stop {
+            scope: intern("nelder_mead"),
+            kind: StopKind::Deadline,
+            evaluations,
         }
     }
 
@@ -742,19 +589,18 @@ mod tests {
         let q = intern("Quadratic");
         let g = intern("Glacial");
         let events = vec![
+            job(0, q),
             started(q),
             evals(7),
             finished(q, 7),
             // The selection layer rejected the numerically-complete fit:
             // a trailing verdict for the same job, not a new one.
-            Event::FitFailed {
-                family: q,
-                kind: FailureCode::Error,
-            },
+            failed(q, FailureCode::Error),
+            job(0, g),
             started(g),
             evals(5),
             finished(g, 5),
-            // The next cell reuses the roster — still exactly two cells.
+            job(1, q),
             started(q),
             evals(3),
             finished(q, 3),
@@ -769,20 +615,24 @@ mod tests {
     }
 
     #[test]
-    fn rebuilds_cells_from_repeated_family_rosters() {
+    fn job_events_place_fits_in_their_cells() {
         let q = intern("Quadratic");
         let g = intern("Glacial");
-        // Two cells x two families; the repeated roster is the boundary.
+        // Two cells x two families, one job marker per fit.
         let events = vec![
+            job(0, q),
             started(q),
             evals(10),
             finished(q, 10),
+            job(0, g),
             started(g),
             evals(20),
             finished(g, 20),
+            job(1, q),
             started(q),
             evals(30),
             finished(q, 30),
+            job(1, g),
             started(g),
             evals(40),
             finished(g, 40),
@@ -808,12 +658,9 @@ mod tests {
     fn retry_reemits_fit_started_within_the_same_fit() {
         let q = intern("Quadratic");
         let events = vec![
+            job(0, q),
             started(q),
-            Event::Stop {
-                scope: intern("nelder_mead"),
-                kind: StopKind::Deadline,
-                evaluations: 7,
-            },
+            deadline(7),
             Event::RetryScheduled {
                 family: q,
                 attempt: 2,
@@ -838,6 +685,7 @@ mod tests {
     fn solver_spans_nest_inside_attempts() {
         let q = intern("Quadratic");
         let events = vec![
+            job(0, q),
             started(q),
             Event::StartBegan { index: 0 },
             Event::Iteration {
@@ -885,11 +733,8 @@ mod tests {
         let events = vec![
             // Cell 0: retry-exhaustion chaos on Quadratic — no fit_started
             // at all, just chaos, a scheduled retry, and the verdict.
-            Event::ChaosInjected {
-                kind: ChaosKind::Exhaustion,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::Exhaustion, 0, q),
             Event::Counter {
                 id: CounterId::ChaosInjected,
                 delta: 1,
@@ -898,15 +743,10 @@ mod tests {
                 family: q,
                 attempt: 2,
             },
-            Event::FitFailed {
-                family: q,
-                kind: FailureCode::Error,
-            },
+            failed(q, FailureCode::Error),
             // Glacial was skipped by an open breaker: verdict only.
-            Event::FitFailed {
-                family: g,
-                kind: FailureCode::Skipped,
-            },
+            job(0, g),
+            failed(g, FailureCode::Skipped),
             Event::BreakerOpened {
                 family: q,
                 consecutive: 2,
@@ -917,9 +757,11 @@ mod tests {
                 failures: 2,
             },
             // Cell 1 runs clean.
+            job(1, q),
             started(q),
             evals(11),
             finished(q, 11),
+            job(1, g),
             started(g),
             evals(5),
             finished(g, 5),
@@ -952,18 +794,13 @@ mod tests {
         let events = vec![
             // Cell 0: the observer was dropped after chaos_injected; the
             // job's own telemetry never reached the log.
-            Event::ChaosInjected {
-                kind: ChaosKind::ObserverLoss,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::ObserverLoss, 0, q),
             // Cell 1 (single-family roster): same family again.
-            Event::ChaosInjected {
-                kind: ChaosKind::ObserverLoss,
-                cell: 1,
-                family: q,
-            },
+            job(1, q),
+            chaos(ChaosKind::ObserverLoss, 1, q),
             // Cell 2 runs clean.
+            job(2, q),
             started(q),
             evals(3),
             finished(q, 3),
@@ -982,16 +819,10 @@ mod tests {
     fn panic_verdicts_attach_to_the_failing_fit() {
         let q = intern("Quadratic");
         let events = vec![
-            Event::ChaosInjected {
-                kind: ChaosKind::Panic,
-                cell: 0,
-                family: q,
-            },
+            job(0, q),
+            chaos(ChaosKind::Panic, 0, q),
             Event::WorkerPanic { scope: q, index: 0 },
-            Event::FitFailed {
-                family: q,
-                kind: FailureCode::Panicked,
-            },
+            failed(q, FailureCode::Panicked),
         ];
         let tree = SpanTree::build(&events);
         let fit = &tree.cells[0].fits[0];
@@ -1016,5 +847,64 @@ mod tests {
         assert_eq!(tree.events, 2);
         let rendered = tree.render(5, 4);
         assert!(rendered.contains("9 unattributed evals"), "{rendered}");
+
+        // A log without job markers (as written before they existed):
+        // fit events alone open no cells, and all work stays unattributed.
+        let q = intern("Quadratic");
+        let g = intern("Glacial");
+        let legacy = vec![
+            started(q),
+            evals(10),
+            finished(q, 10),
+            started(g),
+            deadline(4),
+            Event::RetryScheduled {
+                family: g,
+                attempt: 2,
+            },
+            Event::WorkerPanic { scope: g, index: 1 },
+            failed(g, FailureCode::Panicked),
+            Event::CellQuarantined {
+                cell: 0,
+                failures: 1,
+            },
+        ];
+        let tree = SpanTree::build(&legacy);
+        assert!(tree.cells.is_empty());
+        assert_eq!(tree.unattributed_evaluations, 14);
+        assert_eq!(tree.evaluations(), 14);
+        assert_eq!(tree.events, 9);
+    }
+
+    #[test]
+    fn deadline_fault_stays_in_its_cell() {
+        let q = intern("Quadratic");
+        let cr = intern("Competing Risks");
+        // A deadline blowout emits chaos_injected and then fit_started for
+        // the same family; the job marker, not the repeated family, says
+        // which cell the work belongs to.
+        let events = vec![
+            job(0, q),
+            started(q),
+            evals(5),
+            finished(q, 5),
+            job(0, cr),
+            chaos(ChaosKind::Deadline, 0, cr),
+            started(cr),
+            deadline(8),
+            failed(cr, FailureCode::TimedOut),
+            job(1, q),
+            started(q),
+            evals(3),
+            finished(q, 3),
+        ];
+        let tree = SpanTree::build(&events);
+        assert_eq!(tree.cells.len(), 2);
+        assert_eq!(tree.cells[0].evaluations(), 13);
+        let timed_out = &tree.cells[0].fits[1];
+        assert_eq!(timed_out.evaluations(), 8);
+        assert_eq!(timed_out.outcome, FitOutcome::Failed(FailureCode::TimedOut));
+        assert_eq!(tree.cells[1].fits.len(), 1);
+        assert_eq!(tree.cells[1].evaluations(), 3);
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full offline verification: build, tests, formatting, lints.
+# Full offline verification: build, tests, formatting, lints, docs.
 # Run from the repository root. Fails fast on the first broken step.
 #
 # Test invocations run under a hard wall-clock timeout (the same
@@ -131,5 +131,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+# Broken or ambiguous intra-doc links fail the run.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "verify: all checks passed"
