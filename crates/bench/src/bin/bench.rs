@@ -40,7 +40,7 @@ use resilience_core::fit::{fit_least_squares, FitConfig};
 use resilience_core::mixture::MixtureFamily;
 use resilience_core::model::ModelFamily;
 use resilience_core::runtime::{rank_models_supervised, Control, ExecPolicy};
-use resilience_core::selection::{rank_models, Ranking};
+use resilience_core::selection::{rank_models, InformationCriteria, Ranking};
 use resilience_data::recessions::Recession;
 use resilience_data::scenario::{catalog, Drift, EventProcess, Noise, ScenarioSpec, ShapeKind};
 use resilience_obs::{Event, HistogramId, RecordingObserver, RunReport};
@@ -96,20 +96,33 @@ fn evals_per_fit(events: &[Event]) -> Vec<u64> {
         .collect()
 }
 
+/// Bit patterns of a float slice: the identity gates compare floats
+/// bitwise, so `-0.0` vs `0.0` or two NaN payloads count as different.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn rankings_identical(a: &Ranking, b: &Ranking) -> bool {
+    let criteria = |c: &Option<InformationCriteria>| c.map(|c| bits(&[c.aic, c.aicc, c.bic]));
     a.rows.len() == b.rows.len()
         && a.rows.iter().zip(&b.rows).all(|(x, y)| {
             x.family_name == y.family_name
+                && x.n_params == y.n_params
                 && x.sse.to_bits() == y.sse.to_bits()
                 && x.r2_adj.to_bits() == y.r2_adj.to_bits()
+                && criteria(&x.criteria) == criteria(&y.criteria)
         })
+        && a.failures == b.failures
+        && a.degraded == b.degraded
 }
 
 fn bands_identical(a: &BootstrapBand, b: &BootstrapBand) -> bool {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    bits(&a.lower) == bits(&b.lower)
+    bits(&a.times) == bits(&b.times)
+        && bits(&a.center) == bits(&b.center)
+        && bits(&a.lower) == bits(&b.lower)
         && bits(&a.upper) == bits(&b.upper)
         && a.replicates == b.replicates
+        && a.failed == b.failed
 }
 
 fn bench_fitting() -> SpeedupReport {

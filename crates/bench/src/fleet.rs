@@ -70,7 +70,8 @@ pub struct CellWork {
 #[must_use]
 pub fn cell_work(tree: &SpanTree, cell: usize) -> CellWork {
     tree.cells
-        .get(cell)
+        .iter()
+        .find(|c| c.cell as usize == cell)
         .map_or_else(CellWork::default, |c| CellWork {
             evaluations: c.evaluations(),
             retries: c.retries(),

@@ -8,8 +8,13 @@
 //! the band off the percentiles of the replicate predictions. It is wider
 //! where the fit constrains the curve weakly (extrapolation beyond the
 //! training window) — exactly the region the predictive metrics use.
+//!
+//! Each replicate is a single-start refit from the base fit's optimum,
+//! drawing from its own counter-derived RNG stream, so the band is the
+//! same on any thread count. A band is computed in one pass; there is no
+//! pause or resume.
 
-use crate::fit::{fit_least_squares, fit_least_squares_with, FitConfig};
+use crate::fit::{fit_from, fit_least_squares_with, FitConfig};
 use crate::model::ModelFamily;
 use crate::CoreError;
 use resilience_data::noise::XorShift64;
@@ -123,10 +128,9 @@ impl Default for BootstrapConfig {
 /// Computes a residual-bootstrap band for `family` fit to `series`,
 /// evaluated at every observation time.
 ///
-/// This is [`bootstrap_band_checkpointed`] with an unbounded control: it
-/// always runs to completion in one call. A replicate whose refit panics
-/// counts as a failed replicate (isolated at the job boundary), like one
-/// whose refit errors.
+/// This is [`bootstrap_band_with`] under an unbounded control. A
+/// replicate whose refit panics counts as a failed replicate (isolated at
+/// the job boundary), like one whose refit errors.
 ///
 /// # Errors
 ///
@@ -144,11 +148,10 @@ pub fn bootstrap_band(
 
 /// [`bootstrap_band`] under a [`Control`]'s telemetry sink.
 ///
-/// Only the control's observer is used: the run always completes in one
-/// call (deadline and cancellation are stripped — use
-/// [`bootstrap_band_checkpointed`] for pausable runs). The sink receives
-/// the base fit's solver trace, a [`Event::BootstrapChunkDone`] progress
-/// event after each replicate chunk, and ok/failed replicate counters.
+/// Only the control's observer is used: deadline and cancellation are
+/// ignored, so the run always completes in one call. The sink receives
+/// the base fit's solver trace, one [`Event::BootstrapChunkDone`] event
+/// once every replicate has run, and ok/failed replicate counters.
 /// Replicate refits themselves run unobserved — hundreds of near-identical
 /// solver traces would drown the log without adding information.
 ///
@@ -162,81 +165,6 @@ pub fn bootstrap_band_with(
     config: &BootstrapConfig,
     control: &Control,
 ) -> Result<BootstrapBand, CoreError> {
-    let mut checkpoint = None;
-    bootstrap_band_checkpointed(
-        family,
-        series,
-        base_config,
-        config,
-        &mut checkpoint,
-        &control.observer_only(),
-    )?
-    // An unbounded control can never pause the run, so the engine always
-    // returns a finished band here; defensive rather than `unwrap`.
-    .ok_or_else(|| CoreError::arg("bootstrap_band", "unbounded run returned no band"))
-}
-
-/// Resumable state of an interrupted [`bootstrap_band_checkpointed`] run:
-/// the base fit's curve and residuals plus every replicate prediction
-/// accumulated so far.
-///
-/// Opaque by design — callers only thread it back into the next call.
-/// Because each replicate is a pure function of `(seed, replicate
-/// index)`, a run resumed from a checkpoint is **bit-identical** to an
-/// uninterrupted one.
-#[derive(Debug, Clone)]
-pub struct BootstrapCheckpoint {
-    next_rep: usize,
-    failed: usize,
-    times: Vec<f64>,
-    fitted: Vec<f64>,
-    residuals: Vec<f64>,
-    seed_params: Vec<f64>,
-    per_time: Vec<Vec<f64>>,
-}
-
-impl BootstrapCheckpoint {
-    /// Number of replicates already processed (successful or failed).
-    #[must_use]
-    pub fn replicates_done(&self) -> usize {
-        self.next_rep
-    }
-}
-
-/// [`bootstrap_band`] that can pause at a deadline and resume later.
-///
-/// On the first call pass `&mut None`: the base fit runs (always to
-/// completion — it is the minimum unit of progress) and replicates are
-/// processed in chunks. After each chunk the `control` is polled; if it
-/// signals a stop, the accumulated state is saved into `checkpoint` and
-/// the call returns `Ok(None)`. Calling again with the same arguments and
-/// the saved checkpoint resumes exactly where the run left off. Every
-/// call completes at least one chunk, so a caller looping on an expired
-/// deadline still terminates.
-///
-/// The finished band is bit-identical to an uninterrupted
-/// [`bootstrap_band`] run regardless of how many times the run was
-/// paused, because each replicate's draws come from its own
-/// counter-derived stream ([`XorShift64::stream`]`(seed, rep)`). On
-/// completion the checkpoint is cleared back to `None`.
-///
-/// A replicate whose refit panics is isolated at the job boundary and
-/// counted as failed, exactly like a replicate whose refit errors.
-///
-/// # Errors
-///
-/// * [`CoreError::InvalidArgument`] for a bad configuration, a checkpoint
-///   inconsistent with `series`/`config`, or (on the final chunk) too few
-///   successful replicates.
-/// * Propagates the base fit's errors.
-pub fn bootstrap_band_checkpointed(
-    family: &dyn ModelFamily,
-    series: &PerformanceSeries,
-    base_config: &FitConfig,
-    config: &BootstrapConfig,
-    checkpoint: &mut Option<BootstrapCheckpoint>,
-    control: &Control,
-) -> Result<Option<BootstrapBand>, CoreError> {
     if config.replicates < 20 {
         return Err(CoreError::arg(
             "bootstrap_band",
@@ -249,136 +177,88 @@ pub fn bootstrap_band_checkpointed(
             format!("alpha must be in (0, 1), got {}", config.alpha),
         ));
     }
+    let control = control.observer_only();
     let n = series.len();
-    if checkpoint.is_none() {
-        // The base fit is observed (its solver trace anchors the log) but
-        // never deadline-stopped: it is the minimum unit of progress.
-        let base = fit_least_squares_with(family, series, base_config, &control.observer_only())?;
-        let times = series.times().to_vec();
-        let fitted = base.model.predict_many(&times);
-        let residuals: Vec<f64> = series
-            .values()
-            .iter()
-            .zip(&fitted)
-            .map(|(y, f)| y - f)
-            .collect();
-        *checkpoint = Some(BootstrapCheckpoint {
-            next_rep: 0,
-            failed: 0,
-            times,
-            fitted,
-            residuals,
-            seed_params: base.params,
-            per_time: vec![Vec::new(); n],
-        });
-    }
-    let cp = checkpoint.as_mut().expect("checkpoint initialized above");
-    if cp.per_time.len() != n || cp.next_rep > config.replicates {
-        return Err(CoreError::arg(
-            "bootstrap_band",
-            format!(
-                "checkpoint does not match this run: {} band points for {} observations, \
-                 {} of {} replicates done",
-                cp.per_time.len(),
-                n,
-                cp.next_rep,
-                config.replicates
-            ),
-        ));
-    }
+    // The base fit is observed: its solver trace anchors the log.
+    let base = fit_least_squares_with(family, series, base_config, &control)?;
+    let times = series.times().to_vec();
+    let fitted = base.model.predict_many(&times);
+    let residuals: Vec<f64> = series
+        .values()
+        .iter()
+        .zip(&fitted)
+        .map(|(y, f)| y - f)
+        .collect();
 
-    // Replicate refits always start at the base optimum, and run
-    // serially — the fan-out happens across replicates, not inside them.
+    // Replicate refits start at the base optimum, and run serially — the
+    // fan-out happens across replicates, not inside them.
     let mut refit_config = config.refit.clone();
     refit_config.max_starts = refit_config.max_starts.max(1);
     refit_config.parallelism = Parallelism::Serial;
+    let base_optimum = || vec![base.params.clone()];
 
-    // Start from the base optimum: wrap the family so initial_guesses
-    // returns only the base parameters.
-    let wrapped = SeededFamily {
-        inner: family,
-        seed_params: cp.seed_params.clone(),
-    };
-
-    while cp.next_rep < config.replicates {
-        let remaining = config.replicates - cp.next_rep;
-        // Unbounded runs take everything in one chunk (no reason to pay
-        // per-chunk pool setup); bounded runs use chunks large enough to
-        // keep every worker busy but small enough that the deadline check
-        // between chunks is responsive.
-        let chunk = if control.is_unbounded() {
-            remaining
-        } else {
-            let threads = config.parallelism.threads_for(remaining);
-            remaining.min((threads * 8).max(32))
-        };
-        let start = cp.next_rep;
-        let (times, fitted, residuals) = (&cp.times, &cp.fitted, &cp.residuals);
-        // Each replicate owns a counter-derived RNG stream, so its draws
-        // are a pure function of (seed, replicate index): replicates can
-        // run on any thread, in any order, across any pause/resume split,
-        // and still produce the same band.
-        let replicate_preds =
-            run_indexed_catch(config.parallelism, chunk, |j| -> Option<Vec<f64>> {
-                let rep = start + j;
-                let mut rng = XorShift64::stream(config.seed, rep as u64);
-                let synth_values: Vec<f64> = (0..n)
-                    .map(|i| fitted[i] + residuals[rng.next_index(n)])
-                    .collect();
-                let synth =
-                    PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
-                let fit = fit_least_squares(&wrapped, &synth, &refit_config).ok()?;
-                let mut preds = vec![0.0; n];
-                fit.model.predict_into(times, &mut preds);
-                for p in &mut preds {
-                    // Prediction band: parameter uncertainty (the refit) plus
-                    // observation noise (one more residual draw) — the bootstrap
-                    // analogue of the paper's Eq. 13 band, which also targets
-                    // observations rather than the mean curve.
-                    *p += residuals[rng.next_index(n)];
-                }
-                // Guard layer (DESIGN.md §8): a replicate whose refit
-                // produced a non-finite prediction counts as failed — it
-                // must not reach the quantile computation, which would
-                // otherwise reject the entire band over one bad replicate.
-                if preds.iter().any(|p| !p.is_finite()) {
-                    return None;
-                }
-                Some(preds)
-            });
-        let failed_before = cp.failed;
-        for outcome in replicate_preds {
-            match outcome {
-                Ok(Some(preds)) => {
-                    for (slot, p) in cp.per_time.iter_mut().zip(preds) {
-                        slot.push(p);
-                    }
-                }
-                // Refit failure and replicate panic degrade identically:
-                // one failed replicate, never a lost band.
-                Ok(None) | Err(_) => cp.failed += 1,
+    // Each replicate owns a counter-derived RNG stream, so its draws are
+    // a pure function of (seed, replicate index): replicates can run on
+    // any thread, in any order, and still produce the same band.
+    let replicate_preds = run_indexed_catch(
+        config.parallelism,
+        config.replicates,
+        |rep| -> Option<Vec<f64>> {
+            let mut rng = XorShift64::stream(config.seed, rep as u64);
+            let synth_values: Vec<f64> = (0..n)
+                .map(|i| fitted[i] + residuals[rng.next_index(n)])
+                .collect();
+            let synth = PerformanceSeries::new(series.name(), times.clone(), synth_values).ok()?;
+            let fit = fit_from(
+                family,
+                &synth,
+                &refit_config,
+                &Control::unbounded(),
+                Some(&base_optimum),
+            )
+            .ok()?;
+            let mut preds = vec![0.0; n];
+            fit.model.predict_into(&times, &mut preds);
+            for p in &mut preds {
+                // Prediction band: parameter uncertainty (the refit) plus
+                // observation noise (one more residual draw) — the bootstrap
+                // analogue of the paper's Eq. 13 band, which also targets
+                // observations rather than the mean curve.
+                *p += residuals[rng.next_index(n)];
             }
-        }
-        cp.next_rep += chunk;
-        let chunk_failed = cp.failed - failed_before;
-        control.count(
-            CounterId::BootstrapReplicatesOk,
-            (chunk - chunk_failed) as u64,
-        );
-        control.count(CounterId::BootstrapReplicatesFailed, chunk_failed as u64);
-        control.emit(Event::BootstrapChunkDone {
-            done: cp.next_rep as u32,
-            total: config.replicates as u32,
-            failed: cp.failed as u32,
-        });
-        // The stop check runs *after* the chunk: every call makes at
-        // least one chunk of progress even under an expired deadline.
-        if cp.next_rep < config.replicates && control.stop_cause().is_some() {
-            return Ok(None);
+            // Guard layer (DESIGN.md §8): a replicate whose refit
+            // produced a non-finite prediction counts as failed — it
+            // must not reach the quantile computation, which would
+            // otherwise reject the entire band over one bad replicate.
+            if preds.iter().any(|p| !p.is_finite()) {
+                return None;
+            }
+            Some(preds)
+        },
+    );
+    let mut per_time = vec![Vec::new(); n];
+    let mut failed = 0;
+    for outcome in replicate_preds {
+        match outcome {
+            Ok(Some(preds)) => {
+                for (slot, p) in per_time.iter_mut().zip(preds) {
+                    slot.push(p);
+                }
+            }
+            // Refit failure and replicate panic degrade identically:
+            // one failed replicate, never a lost band.
+            Ok(None) | Err(_) => failed += 1,
         }
     }
+    let ok = config.replicates - failed;
+    control.count(CounterId::BootstrapReplicatesOk, ok as u64);
+    control.count(CounterId::BootstrapReplicatesFailed, failed as u64);
+    control.emit(Event::BootstrapChunkDone {
+        done: config.replicates as u32,
+        total: config.replicates as u32,
+        failed: failed as u32,
+    });
 
-    let ok = config.replicates - cp.failed;
     if ok < 20 || ok * 2 < config.replicates {
         return Err(CoreError::arg(
             "bootstrap_band",
@@ -390,81 +270,18 @@ pub fn bootstrap_band_checkpointed(
     }
     let mut lower = Vec::with_capacity(n);
     let mut upper = Vec::with_capacity(n);
-    for values in &cp.per_time {
+    for values in &per_time {
         lower.push(quantile(values, config.alpha / 2.0)?);
         upper.push(quantile(values, 1.0 - config.alpha / 2.0)?);
     }
-    let finished = checkpoint.take().expect("checkpoint present");
-    Ok(Some(BootstrapBand {
-        times: finished.times,
-        center: finished.fitted,
+    Ok(BootstrapBand {
+        times,
+        center: fitted,
         lower,
         upper,
         replicates: ok,
-        failed: finished.failed,
-    }))
-}
-
-/// A family adapter that replaces the data-driven starting points with a
-/// fixed seed (the base fit's optimum).
-struct SeededFamily<'a> {
-    inner: &'a dyn ModelFamily,
-    seed_params: Vec<f64>,
-}
-
-impl ModelFamily for SeededFamily<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn n_params(&self) -> usize {
-        self.inner.n_params()
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        self.inner.internal_to_params(internal)
-    }
-
-    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.inner.params_to_internal(params)
-    }
-
-    fn build(&self, params: &[f64]) -> Result<Box<dyn crate::model::ResilienceModel>, CoreError> {
-        self.inner.build(params)
-    }
-
-    fn initial_guesses(&self, _series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        vec![self.seed_params.clone()]
-    }
-
-    // Forward the allocation-free hot-path hooks so replicate refits keep
-    // the wrapped family's specialized implementations — including the
-    // analytic Jacobian and the batched SSE kernel.
-    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
-        self.inner.internal_to_params_into(internal, out);
-    }
-
-    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        self.inner.predict_params_into(params, ts, out)
-    }
-
-    fn predict_jacobian_into(
-        &self,
-        internal: &[f64],
-        params: &[f64],
-        ts: &[f64],
-        out: &mut resilience_math::linalg::Matrix,
-    ) -> bool {
-        self.inner.predict_jacobian_into(internal, params, ts, out)
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        self.inner.sse_batch_into(internals, ts, ys, out)
-    }
-
-    fn nm_iteration_scale(&self) -> usize {
-        self.inner.nm_iteration_scale()
-    }
+        failed,
+    })
 }
 
 #[cfg(test)]
@@ -591,58 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_resume_is_bit_identical_to_uninterrupted() {
-        use std::time::Duration;
-        let series = Recession::R1990_93.payroll_index();
-        // Fixed(2) workers → 32-replicate chunks, so 64 replicates take
-        // exactly two chunked calls under an always-expired deadline.
-        let cfg = BootstrapConfig {
-            replicates: 64,
-            parallelism: Parallelism::Fixed(2),
-            ..BootstrapConfig::default()
-        };
-        let uninterrupted =
-            bootstrap_band(&QuadraticFamily, &series, &FitConfig::default(), &cfg).unwrap();
-
-        let expired = Control::with_deadline(Duration::ZERO);
-        let mut checkpoint = None;
-        // First call: base fit + one chunk, then pauses.
-        let first = bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &series,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &expired,
-        )
-        .unwrap();
-        assert!(first.is_none(), "expired deadline must pause the run");
-        let cp = checkpoint.as_ref().expect("pause must leave a checkpoint");
-        assert_eq!(cp.replicates_done(), 32);
-
-        // Resume until done; minimum-progress guarantees termination.
-        let mut resumed = None;
-        for _ in 0..10 {
-            if let Some(band) = bootstrap_band_checkpointed(
-                &QuadraticFamily,
-                &series,
-                &FitConfig::default(),
-                &cfg,
-                &mut checkpoint,
-                &expired,
-            )
-            .unwrap()
-            {
-                resumed = Some(band);
-                break;
-            }
-        }
-        let resumed = resumed.expect("run must finish within 10 chunked calls");
-        assert!(checkpoint.is_none(), "completion must clear the checkpoint");
-        assert_eq!(resumed, uninterrupted);
-    }
-
-    #[test]
     fn telemetry_reports_chunk_progress_and_replicate_counters() {
         use resilience_obs::{CounterId, Event, RecordingObserver};
         use std::sync::Arc;
@@ -660,7 +425,7 @@ mod tests {
         let events = rec.take();
         // The base fit's span anchors the log.
         assert!(events.iter().any(|e| matches!(e, Event::FitStarted { .. })));
-        // An unbounded run takes all replicates in one chunk.
+        // Every replicate runs in one pass, reported by one chunk event.
         let chunks: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
@@ -690,7 +455,9 @@ mod tests {
     #[test]
     fn observed_band_is_identical_to_unobserved() {
         use resilience_obs::RecordingObserver;
+        use resilience_optim::CancelToken;
         use std::sync::Arc;
+        use std::time::Duration;
         let series = Recession::R1990_93.payroll_index();
         let plain = bootstrap_band(
             &QuadraticFamily,
@@ -699,50 +466,27 @@ mod tests {
             &quick_config(),
         )
         .unwrap();
-        let control = Control::unbounded().observe(Arc::new(RecordingObserver::new()));
-        let traced = bootstrap_band_with(
-            &QuadraticFamily,
-            &series,
-            &FitConfig::default(),
-            &quick_config(),
-            &control,
-        )
-        .unwrap();
-        assert_eq!(traced, plain);
-    }
-
-    #[test]
-    fn checkpoint_from_a_different_series_is_rejected() {
-        use std::time::Duration;
-        let series = Recession::R1990_93.payroll_index();
-        let cfg = BootstrapConfig {
-            replicates: 64,
-            parallelism: Parallelism::Fixed(2),
-            ..BootstrapConfig::default()
-        };
-        let mut checkpoint = None;
-        let paused = bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &series,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &Control::with_deadline(Duration::ZERO),
-        )
-        .unwrap();
-        assert!(paused.is_none());
-        // Resuming against a series of a different length must error, not
-        // silently mix two runs.
-        let other = Recession::R2020_21.payroll_index();
-        assert_ne!(other.len(), series.len());
-        assert!(bootstrap_band_checkpointed(
-            &QuadraticFamily,
-            &other,
-            &FitConfig::default(),
-            &cfg,
-            &mut checkpoint,
-            &Control::unbounded(),
-        )
-        .is_err());
+        // Deadline and cancellation are ignored: an expired or cancelled
+        // control still runs the whole band.
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for (what, control) in [
+            (
+                "observed",
+                Control::unbounded().observe(Arc::new(RecordingObserver::new())),
+            ),
+            ("expired", Control::with_deadline(Duration::ZERO)),
+            ("cancelled", Control::with_token(&cancelled)),
+        ] {
+            let band = bootstrap_band_with(
+                &QuadraticFamily,
+                &series,
+                &FitConfig::default(),
+                &quick_config(),
+                &control,
+            )
+            .unwrap();
+            assert_eq!(band, plain, "{what}");
+        }
     }
 }

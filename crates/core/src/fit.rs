@@ -308,6 +308,24 @@ pub fn fit_least_squares_with(
     config: &FitConfig,
     control: &Control,
 ) -> Result<FittedModel, CoreError> {
+    fit_from(family, series, config, control, None)
+}
+
+/// The fit engine behind [`fit_least_squares_with`].
+///
+/// `guesses` replaces [`ModelFamily::initial_guesses`] as the source of
+/// the cold phase's starting points, in external parameters (`None` asks
+/// the family). It is called exactly where the family would have been,
+/// and only when the cold phase runs, so a fit makes the same sequence of
+/// family calls either way. Bootstrap replicates start from the base
+/// optimum and runtime retries from jittered points through it.
+pub(crate) fn fit_from(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    config: &FitConfig,
+    control: &Control,
+    guesses: Option<&dyn Fn() -> Vec<Vec<f64>>>,
+) -> Result<FittedModel, CoreError> {
     let observed = series.values();
     let times = series.times();
     let n_params = family.n_params();
@@ -371,9 +389,12 @@ pub fn fit_least_squares_with(
     let cold = if short_circuit {
         None
     } else {
-        // Collect internal starting points from the family's guesses.
-        let starts: Vec<Vec<f64>> = family
-            .initial_guesses(series)
+        // Collect internal starting points from the guesses.
+        let guesses = match guesses {
+            Some(guesses) => guesses(),
+            None => family.initial_guesses(series),
+        };
+        let starts: Vec<Vec<f64>> = guesses
             .into_iter()
             .filter_map(|g| family.params_to_internal(&g).ok())
             .take(config.max_starts)

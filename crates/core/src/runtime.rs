@@ -9,7 +9,10 @@
 //!
 //! * [`fit_with_retry`] — re-runs a non-converged fit from jittered
 //!   starting points with deterministically growing jitter (the
-//!   parameter-space analogue of exponential backoff).
+//!   parameter-space analogue of exponential backoff). The jittered
+//!   points go to the fit engine in place of the family's own guesses;
+//!   the family itself is never wrapped, so a retried fit keeps the
+//!   family's analytic Jacobian and batched SSE kernel.
 //! * [`rank_models_supervised`] — [`crate::selection::rank_models`] under
 //!   an [`ExecPolicy`]: per-family time budgets, optional retry, and
 //!   per-family panic isolation. Failures degrade the
@@ -25,8 +28,8 @@
 //! successful result.
 
 use crate::chaos::{ChaosFault, ChaosPlan};
-use crate::fit::{fit_least_squares_with, FitConfig, FittedModel, WarmStart};
-use crate::model::{ModelFamily, ResilienceModel};
+use crate::fit::{fit_from, fit_least_squares_with, FitConfig, FittedModel, WarmStart};
+use crate::model::ModelFamily;
 use crate::selection::{score_family, sort_rows, FailureKind, FamilyFailure, Ranking};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
@@ -152,102 +155,32 @@ pub struct SupervisedFit {
 /// the right basin, the jitter only has to escape a simplex stall.
 const WARM_RETRY_STARTS: usize = 8;
 
-/// A family adapter that perturbs starting points with deterministic
-/// zero-mean jitter; everything else forwards. With a `center` (the best
-/// fit so far), guesses are jittered copies of that optimum instead of
-/// the family's cold grid — resampling the basin we already found rather
-/// than re-exploring from scratch.
-struct JitteredFamily<'a> {
-    inner: &'a dyn ModelFamily,
-    seed: u64,
-    attempt: u64,
-    amplitude: f64,
-    center: Option<Vec<f64>>,
-}
-
-impl ModelFamily for JitteredFamily<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
+/// Starting points for retry `attempt`: deterministic zero-mean jitter
+/// on [`WARM_RETRY_STARTS`] copies of `center` (the best fit so far) when
+/// there is one — resampling the basin already found rather than
+/// re-exploring from scratch — and on the family's cold grid otherwise.
+fn jittered_guesses(
+    family: &dyn ModelFamily,
+    series: &PerformanceSeries,
+    policy: &RetryPolicy,
+    attempt: usize,
+    center: Option<&[f64]>,
+) -> Vec<Vec<f64>> {
+    // A fresh stream per (seed, attempt) keeps every retry schedule a
+    // pure function of the policy. Jitter is relative (`1 + |g|`) so
+    // parameters spanning orders of magnitude are all perturbed
+    // proportionally; infeasible perturbed guesses are dropped later by
+    // `params_to_internal`, exactly like infeasible data-driven guesses.
+    let mut rng = XorShift64::stream(policy.base_seed, attempt as u64);
+    let amplitude = policy.amplitude(attempt);
+    let mut guesses = match center {
+        Some(center) => vec![center.to_vec(); WARM_RETRY_STARTS],
+        None => family.initial_guesses(series),
+    };
+    for g in guesses.iter_mut().flatten() {
+        *g += amplitude * (2.0 * rng.next_f64() - 1.0) * (1.0 + g.abs());
     }
-
-    fn n_params(&self) -> usize {
-        self.inner.n_params()
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        self.inner.internal_to_params(internal)
-    }
-
-    fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.inner.params_to_internal(params)
-    }
-
-    fn build(&self, params: &[f64]) -> Result<Box<dyn ResilienceModel>, CoreError> {
-        self.inner.build(params)
-    }
-
-    fn initial_guesses(&self, series: &PerformanceSeries) -> Vec<Vec<f64>> {
-        // A fresh stream per (seed, attempt) keeps every call — and every
-        // retry schedule — a pure function of the policy. Jitter is
-        // relative (`1 + |g|`) so parameters spanning orders of magnitude
-        // are all perturbed proportionally; infeasible perturbed guesses
-        // are dropped later by `params_to_internal`, exactly like
-        // infeasible data-driven guesses.
-        let mut rng = XorShift64::stream(self.seed, self.attempt);
-        let mut jitter = |guess: &mut Vec<f64>| {
-            for g in guess.iter_mut() {
-                *g += self.amplitude * (2.0 * rng.next_f64() - 1.0) * (1.0 + g.abs());
-            }
-        };
-        match &self.center {
-            Some(center) => (0..WARM_RETRY_STARTS)
-                .map(|_| {
-                    let mut guess = center.clone();
-                    jitter(&mut guess);
-                    guess
-                })
-                .collect(),
-            None => self
-                .inner
-                .initial_guesses(series)
-                .into_iter()
-                .map(|mut guess| {
-                    jitter(&mut guess);
-                    guess
-                })
-                .collect(),
-        }
-    }
-
-    // Forward the allocation-free hot-path hooks so retried fits keep the
-    // wrapped family's specialized implementations — including the
-    // analytic Jacobian and the batched SSE kernel, without which a
-    // retried fit would silently fall back to the slow paths.
-    fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
-        self.inner.internal_to_params_into(internal, out);
-    }
-
-    fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        self.inner.predict_params_into(params, ts, out)
-    }
-
-    fn predict_jacobian_into(
-        &self,
-        internal: &[f64],
-        params: &[f64],
-        ts: &[f64],
-        out: &mut resilience_math::linalg::Matrix,
-    ) -> bool {
-        self.inner.predict_jacobian_into(internal, params, ts, out)
-    }
-
-    fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        self.inner.sse_batch_into(internals, ts, ys, out)
-    }
-
-    fn nm_iteration_scale(&self) -> usize {
-        self.inner.nm_iteration_scale()
-    }
+    guesses
 }
 
 /// Fits `family` to `series`, retrying from jittered starting points when
@@ -404,14 +337,9 @@ fn fit_with_retry_impl(
             if let Some(fit) = &best {
                 retry_config.warm_start = Some(WarmStart::new(fit.params.clone()));
             }
-            let jittered = JitteredFamily {
-                inner: family,
-                seed: policy.base_seed,
-                attempt: attempt as u64,
-                amplitude: policy.amplitude(attempt),
-                center: best.as_ref().map(|fit| fit.params.clone()),
-            };
-            fit_least_squares_with(&jittered, series, &retry_config, control)
+            let center = best.as_ref().map(|fit| fit.params.as_slice());
+            let guesses = || jittered_guesses(family, series, policy, attempt, center);
+            fit_from(family, series, &retry_config, control, Some(&guesses))
         };
         match outcome {
             Ok(fit) => {
@@ -915,6 +843,7 @@ pub fn rank_fleet_supervised(
 mod tests {
     use super::*;
     use crate::bathtub::{QuadraticFamily, QuarticFamily};
+    use crate::model::ResilienceModel;
 
     fn quadratic_series() -> PerformanceSeries {
         let mut wiggle = 0.41_f64;

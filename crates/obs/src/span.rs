@@ -18,6 +18,7 @@
 
 use crate::event::{ChaosKind, CounterId, Event, ExitReason, FailureCode, SolverKind, StopKind};
 use crate::report::BootstrapProgress;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Which work column a top-K query ranks by.
@@ -171,7 +172,8 @@ impl CellSpan {
 /// The reconstructed hierarchy of one event log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanTree {
-    /// Cells in replay (flattened job) order.
+    /// Cells in the order of their first `job` event (replay order for a
+    /// fleet log).
     pub cells: Vec<CellSpan>,
     /// Latest bootstrap progress seen in the log.
     pub bootstrap: Option<BootstrapProgress>,
@@ -182,28 +184,35 @@ pub struct SpanTree {
 }
 
 /// Builder state while folding the log.
+#[derive(Default)]
 struct Builder {
     tree: SpanTree,
-    /// `(cell index, fit index)` of the job receiving events; `None`
+    /// Position in `tree.cells` of each cell index seen so far.
+    cell_slots: HashMap<u32, usize>,
+    /// `(cell slot, fit index)` of the job receiving events; `None`
     /// before the first `job` event.
     job: Option<(usize, usize)>,
 }
 
 impl Builder {
-    /// Opens the span of the job a `job` event announces, creating cells
-    /// up to `cell`.
+    /// Opens the span of the job a `job` event announces, creating its
+    /// cell on first sight. Cells are keyed by index, never allocated up
+    /// to it, so memory grows with the log rather than the index value.
     fn start_job(&mut self, cell: u32, family: &'static str) {
-        let next = self.tree.cells.len() as u32;
-        self.tree.cells.extend((next..=cell).map(|cell| CellSpan {
-            cell,
-            ..CellSpan::default()
-        }));
-        let fits = &mut self.tree.cells[cell as usize].fits;
+        let cells = &mut self.tree.cells;
+        let slot = *self.cell_slots.entry(cell).or_insert_with(|| {
+            cells.push(CellSpan {
+                cell,
+                ..CellSpan::default()
+            });
+            cells.len() - 1
+        });
+        let fits = &mut cells[slot].fits;
         fits.push(FitSpan {
             family,
             ..FitSpan::default()
         });
-        self.job = Some((cell as usize, fits.len() - 1));
+        self.job = Some((slot, fits.len() - 1));
     }
 
     fn cell_mut(&mut self) -> Option<&mut CellSpan> {
@@ -370,10 +379,7 @@ impl SpanTree {
     where
         I: IntoIterator<Item = &'a Event>,
     {
-        let mut builder = Builder {
-            tree: SpanTree::default(),
-            job: None,
-        };
+        let mut builder = Builder::default();
         for event in events {
             builder.consume(event);
         }
@@ -906,5 +912,16 @@ mod tests {
         assert_eq!(timed_out.outcome, FitOutcome::Failed(FailureCode::TimedOut));
         assert_eq!(tree.cells[1].fits.len(), 1);
         assert_eq!(tree.cells[1].evaluations(), 3);
+    }
+
+    #[test]
+    fn a_huge_cell_index_builds_one_cell() {
+        let log = "{\"ev\":\"job\",\"cell\":4294967295,\"family\":\"Quadratic\"}\n";
+        let events = crate::parse::parse_log(log).unwrap();
+        let tree = SpanTree::build(&events);
+        assert_eq!(tree.cells.len(), 1);
+        assert_eq!(tree.cells[0].cell, u32::MAX);
+        assert_eq!(tree.cells[0].fits.len(), 1);
+        assert!(tree.render(8, 4).starts_with("fleet: 1 cells, 1 fits"));
     }
 }

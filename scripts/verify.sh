@@ -24,9 +24,6 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace (hard cap ${TEST_TIMEOUT}s)"
 timeout -k 30 "$TEST_TIMEOUT" cargo test -q --workspace
 
-echo "==> cargo test -q --test fault_injection --test golden_oracle (hard cap ${TEST_TIMEOUT}s)"
-timeout -k 30 "$TEST_TIMEOUT" cargo test -q --test fault_injection --test golden_oracle
-
 echo "==> cargo test -q --test runtime_resilience (smoke, hard cap ${SMOKE_TIMEOUT}s)"
 timeout -k 30 "$SMOKE_TIMEOUT" cargo test -q --test runtime_resilience
 
