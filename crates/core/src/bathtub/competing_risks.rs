@@ -1,10 +1,9 @@
 //! The competing-risks bathtub model (paper Eq. 4–6).
 
-use crate::model::{ModelFamily, ResilienceModel, SSE_BATCH_WIDTH};
+use crate::model::{sse_batch_kernel, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
-use resilience_math::sum::CompensatedSum;
 
 /// Competing-risks resilience curve `P(t) = 2γt + α/(1 + βt)` with
 /// `α, β, γ > 0` — the Hjorth (1980) bathtub hazard adopted by the
@@ -132,14 +131,16 @@ impl CompetingRisksModel {
     }
 
     /// Allocation-free mirror of the `new` constraints, used by the
-    /// fitting hot path.
-    fn feasible(alpha: f64, beta: f64, gamma: f64) -> bool {
-        alpha > 0.0
-            && alpha.is_finite()
-            && beta > 0.0
-            && beta.is_finite()
-            && gamma > 0.0
-            && gamma.is_finite()
+    /// fitting hot path: the model for `params`, or `None` when they are
+    /// not three finite positive values.
+    fn feasible(params: &[f64]) -> Option<Self> {
+        let &[alpha, beta, gamma] = params else {
+            return None;
+        };
+        params
+            .iter()
+            .all(|&v| v > 0.0 && v.is_finite())
+            .then_some(CompetingRisksModel { alpha, beta, gamma })
     }
 
     /// Antiderivative (paper Eq. 6): `γt² + (α/β)·ln(1+βt)`.
@@ -159,17 +160,6 @@ impl ResilienceModel for CompetingRisksModel {
 
     fn predict(&self, t: f64) -> f64 {
         self.predict_inner(t)
-    }
-
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = 2.0 * self.gamma * t + self.alpha / (1.0 + self.beta * t);
-        }
     }
 
     /// Closed-form area (paper Eq. 6) between the endpoints.
@@ -229,15 +219,6 @@ impl ModelFamily for CompetingRisksFamily {
         3
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            3,
-            "CompetingRisksFamily expects 3 internal params"
-        );
-        internal.iter().map(|v| v.exp()).collect()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -255,13 +236,8 @@ impl ModelFamily for CompetingRisksFamily {
     }
 
     fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        if params.len() != 3 || !CompetingRisksModel::feasible(params[0], params[1], params[2]) {
+        let Some(model) = CompetingRisksModel::feasible(params) else {
             return false;
-        }
-        let model = CompetingRisksModel {
-            alpha: params[0],
-            beta: params[1],
-            gamma: params[2],
         };
         model.predict_into(ts, out);
         true
@@ -280,13 +256,14 @@ impl ModelFamily for CompetingRisksFamily {
         ts: &[f64],
         out: &mut Matrix,
     ) -> bool {
-        if internal.len() != 3
-            || params.len() != 3
-            || !CompetingRisksModel::feasible(params[0], params[1], params[2])
-        {
+        let Some(CompetingRisksModel { alpha, beta, gamma }) =
+            CompetingRisksModel::feasible(params)
+        else {
+            return false;
+        };
+        if internal.len() != 3 {
             return false;
         }
-        let (alpha, beta, gamma) = (params[0], params[1], params[2]);
         let two_gamma = 2.0 * gamma;
         for (i, &t) in ts.iter().enumerate() {
             let denom = 1.0 + beta * t;
@@ -298,51 +275,19 @@ impl ModelFamily for CompetingRisksFamily {
     }
 
     fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        const W: usize = SSE_BATCH_WIDTH;
-        assert_eq!(
-            internals.len(),
-            3 * out.len(),
-            "CompetingRisksFamily::sse_batch_into: internals.len() must be 3 * out.len()"
+        sse_batch_kernel(
+            3,
+            internals,
+            ts,
+            ys,
+            out,
+            |u| {
+                let mut params = [0.0; 3];
+                self.internal_to_params_into(u, &mut params);
+                CompetingRisksModel::feasible(&params)
+            },
+            |model, t| model.predict(t),
         );
-        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
-        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
-            let base = chunk_idx * W;
-            let k = chunk.len();
-            // SoA lanes (see QuadraticFamily::sse_batch_into).
-            let mut alphas = [0.0; W];
-            let mut betas = [0.0; W];
-            let mut gammas = [0.0; W];
-            let mut live = [false; W];
-            for i in 0..k {
-                let u = &internals[(base + i) * 3..(base + i) * 3 + 3];
-                // Identical arithmetic to `internal_to_params_into`.
-                let (alpha, beta, gamma) = (u[0].exp(), u[1].exp(), u[2].exp());
-                alphas[i] = alpha;
-                betas[i] = beta;
-                gammas[i] = gamma;
-                live[i] = CompetingRisksModel::feasible(alpha, beta, gamma);
-            }
-            let mut sums = [CompensatedSum::new(); W];
-            let mut finite = [true; W];
-            for (&t, &y) in ts.iter().zip(ys) {
-                for i in 0..k {
-                    // Same association as the scalar `predict_into`.
-                    let pred = 2.0 * gammas[i] * t + alphas[i] / (1.0 + betas[i] * t);
-                    if !pred.is_finite() {
-                        finite[i] = false;
-                    }
-                    let d = y - pred;
-                    sums[i].add(d * d);
-                }
-            }
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = if live[i] && finite[i] {
-                    sums[i].value()
-                } else {
-                    f64::INFINITY
-                };
-            }
-        }
         true
     }
 

@@ -1,11 +1,10 @@
 //! The quadratic bathtub model (paper Eq. 1–3).
 
-use crate::model::{ModelFamily, ResilienceModel, SSE_BATCH_WIDTH};
+use crate::model::{sse_batch_kernel, ModelFamily, ResilienceModel};
 use crate::CoreError;
 use resilience_data::PerformanceSeries;
 use resilience_math::linalg::Matrix;
 use resilience_math::poly::{quadratic_roots, Polynomial};
-use resilience_math::sum::CompensatedSum;
 
 /// Quadratic bathtub resilience curve `P(t) = α + βt + γt²`
 /// (paper Eq. 1).
@@ -121,14 +120,19 @@ impl QuadraticModel {
 
     /// Allocation-free mirror of the `new` constraints, used by the
     /// fitting hot path (`new` reports the same conditions with
-    /// diagnostics, which costs a `String`).
-    fn feasible(alpha: f64, beta: f64, gamma: f64) -> bool {
-        alpha > 0.0
+    /// diagnostics, which costs a `String`): the model for `params`, or
+    /// `None` when they are not three feasible values.
+    fn feasible(params: &[f64]) -> Option<Self> {
+        let &[alpha, beta, gamma] = params else {
+            return None;
+        };
+        (alpha > 0.0
             && alpha.is_finite()
             && gamma > 0.0
             && gamma.is_finite()
             && beta > -2.0 * (alpha * gamma).sqrt()
-            && beta < 0.0
+            && beta < 0.0)
+            .then_some(QuadraticModel { alpha, beta, gamma })
     }
 }
 
@@ -143,17 +147,6 @@ impl ResilienceModel for QuadraticModel {
 
     fn predict(&self, t: f64) -> f64 {
         self.alpha + self.beta * t + self.gamma * t * t
-    }
-
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.alpha + self.beta * t + self.gamma * t * t;
-        }
     }
 
     /// Closed-form area (paper Eq. 3): `αt + βt²/2 + γt³/3` evaluated
@@ -218,19 +211,6 @@ impl ModelFamily for QuadraticFamily {
         3
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            3,
-            "QuadraticFamily expects 3 internal params"
-        );
-        let alpha = internal[0].exp();
-        // Numerically safe logistic clamped strictly inside (0, 1).
-        let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
-        let gamma = internal[2].exp();
-        QuadraticFamily::external(alpha, s, gamma)
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(
             internal.len(),
@@ -239,6 +219,7 @@ impl ModelFamily for QuadraticFamily {
         );
         assert_eq!(out.len(), 3, "QuadraticFamily writes 3 external params");
         let alpha = internal[0].exp();
+        // Numerically safe logistic clamped strictly inside (0, 1).
         let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
         let gamma = internal[2].exp();
         out[0] = alpha;
@@ -247,13 +228,8 @@ impl ModelFamily for QuadraticFamily {
     }
 
     fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        if params.len() != 3 || !QuadraticModel::feasible(params[0], params[1], params[2]) {
+        let Some(model) = QuadraticModel::feasible(params) else {
             return false;
-        }
-        let model = QuadraticModel {
-            alpha: params[0],
-            beta: params[1],
-            gamma: params[2],
         };
         model.predict_into(ts, out);
         true
@@ -275,13 +251,12 @@ impl ModelFamily for QuadraticFamily {
         ts: &[f64],
         out: &mut Matrix,
     ) -> bool {
-        if internal.len() != 3
-            || params.len() != 3
-            || !QuadraticModel::feasible(params[0], params[1], params[2])
-        {
+        let Some(QuadraticModel { alpha, beta, gamma }) = QuadraticModel::feasible(params) else {
+            return false;
+        };
+        if internal.len() != 3 {
             return false;
         }
-        let (alpha, beta, gamma) = (params[0], params[1], params[2]);
         let s = (1.0 / (1.0 + (-internal[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
         let ds = if s > 1e-9 && s < 1.0 - 1e-9 {
             s * (1.0 - s)
@@ -299,55 +274,19 @@ impl ModelFamily for QuadraticFamily {
     }
 
     fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
-        const W: usize = SSE_BATCH_WIDTH;
-        assert_eq!(
-            internals.len(),
-            3 * out.len(),
-            "QuadraticFamily::sse_batch_into: internals.len() must be 3 * out.len()"
+        sse_batch_kernel(
+            3,
+            internals,
+            ts,
+            ys,
+            out,
+            |u| {
+                let mut params = [0.0; 3];
+                self.internal_to_params_into(u, &mut params);
+                QuadraticModel::feasible(&params)
+            },
+            |model, t| model.predict(t),
         );
-        assert_eq!(ts.len(), ys.len(), "sse_batch_into: ts/ys length mismatch");
-        for (chunk_idx, chunk) in out.chunks_mut(W).enumerate() {
-            let base = chunk_idx * W;
-            let k = chunk.len();
-            // SoA lanes: one stack array per parameter so the t-loop below
-            // reads contiguous lanes the autovectorizer can keep in registers.
-            let mut alphas = [0.0; W];
-            let mut betas = [0.0; W];
-            let mut gammas = [0.0; W];
-            let mut live = [false; W];
-            for i in 0..k {
-                let u = &internals[(base + i) * 3..(base + i) * 3 + 3];
-                // Identical arithmetic to `internal_to_params_into`.
-                let alpha = u[0].exp();
-                let s = (1.0 / (1.0 + (-u[1]).exp())).clamp(1e-9, 1.0 - 1e-9);
-                let gamma = u[2].exp();
-                let beta = -2.0 * (alpha * gamma).sqrt() * s;
-                alphas[i] = alpha;
-                betas[i] = beta;
-                gammas[i] = gamma;
-                live[i] = QuadraticModel::feasible(alpha, beta, gamma);
-            }
-            let mut sums = [CompensatedSum::new(); W];
-            let mut finite = [true; W];
-            for (&t, &y) in ts.iter().zip(ys) {
-                for i in 0..k {
-                    // Same association as the scalar `predict_into`.
-                    let pred = alphas[i] + betas[i] * t + gammas[i] * t * t;
-                    if !pred.is_finite() {
-                        finite[i] = false;
-                    }
-                    let d = y - pred;
-                    sums[i].add(d * d);
-                }
-            }
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = if live[i] && finite[i] {
-                    sums[i].value()
-                } else {
-                    f64::INFINITY
-                };
-            }
-        }
         true
     }
 

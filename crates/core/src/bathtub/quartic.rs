@@ -71,17 +71,6 @@ impl ResilienceModel for QuarticModel {
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * t + c)
     }
 
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * t + c);
-        }
-    }
-
     fn area(&self, a: f64, b: f64) -> Result<f64, CoreError> {
         if !(a <= b) || !a.is_finite() || !b.is_finite() {
             return Err(CoreError::arg(
@@ -109,35 +98,24 @@ impl ModelFamily for QuarticFamily {
         5
     }
 
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(internal.len(), 5, "QuarticFamily expects 5 internal params");
-        internal.to_vec()
-    }
-
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
         assert_eq!(internal.len(), 5, "QuarticFamily expects 5 internal params");
         out.copy_from_slice(internal);
     }
 
     fn predict_params_into(&self, params: &[f64], ts: &[f64], out: &mut [f64]) -> bool {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_params_into requires ts and out of equal length"
-        );
-        if params.len() != 5 || params.iter().any(|c| !c.is_finite()) {
+        let Ok(coeffs) = <[f64; 5]>::try_from(params) else {
+            return false;
+        };
+        if coeffs.iter().any(|c| !c.is_finite()) {
             return false;
         }
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = params.iter().rev().fold(0.0, |acc, &c| acc * t + c);
-        }
+        QuarticModel { coeffs }.predict_into(ts, out);
         true
     }
 
     fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
-        if params.len() != 5 {
-            return Err(CoreError::params("Quartic", "expected 5 parameters"));
-        }
+        self.build(params)?;
         Ok(params.to_vec())
     }
 

@@ -173,23 +173,6 @@ impl ResilienceModel for CrashRecoveryModel {
         }
     }
 
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = if t < 0.0 {
-                1.0
-            } else if t < self.crash_time {
-                1.0 - (1.0 - self.p_min) * (t / self.crash_time).powf(self.sharpness)
-            } else {
-                self.p_inf - (self.p_inf - self.p_min) * (-self.rate * (t - self.crash_time)).exp()
-            };
-        }
-    }
-
     /// Closed-form area: power-law segment before `t_c`, exponential
     /// segment after.
     fn area(&self, a: f64, b: f64) -> Result<f64, CoreError> {
@@ -280,20 +263,6 @@ impl ModelFamily for CrashRecoveryFamily {
     /// landscape the same doubled walk as the other extended shape.
     fn nm_iteration_scale(&self) -> usize {
         2
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            5,
-            "CrashRecoveryFamily expects 5 internal params"
-        );
-        let crash_time = internal[0].exp();
-        let p_inf = internal[2].exp();
-        let p_min = p_inf * CrashRecoveryFamily::sigmoid(internal[1]);
-        let rate = internal[3].exp();
-        let sharpness = 1.0 + internal[4].exp();
-        vec![crash_time, p_min, p_inf, rate, sharpness]
     }
 
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {

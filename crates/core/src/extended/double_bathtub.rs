@@ -141,17 +141,6 @@ impl ResilienceModel for DoubleBathtubModel {
         2.0 * self.gamma * t + self.alpha / (1.0 + self.beta * t) - self.second_dip(t)
     }
 
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = 2.0 * self.gamma * t + self.alpha / (1.0 + self.beta * t) - self.second_dip(t);
-        }
-    }
-
     fn area(&self, a: f64, b: f64) -> Result<f64, CoreError> {
         if !(a <= b) || !a.is_finite() || !b.is_finite() {
             return Err(CoreError::arg(
@@ -192,15 +181,6 @@ impl ModelFamily for DoubleBathtubFamily {
     /// families finish near 150).
     fn nm_iteration_scale(&self) -> usize {
         2
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            6,
-            "DoubleBathtubFamily expects 6 internal params"
-        );
-        internal.iter().map(|v| v.exp()).collect()
     }
 
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {

@@ -142,19 +142,15 @@ impl ResilienceModel for MixtureModel {
     }
 
     fn predict(&self, t: f64) -> f64 {
-        self.degradation_term(t) + self.recovery_term(t)
+        curve(&self.f1, &self.f2, self.trend, self.beta, t)
     }
+}
 
-    fn predict_into(&self, ts: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            ts.len(),
-            out.len(),
-            "predict_into requires ts and out of equal length"
-        );
-        for (o, &t) in out.iter_mut().zip(ts) {
-            *o = self.f1.survival(t) + self.trend.eval(self.beta, t) * self.f2.cdf(t);
-        }
-    }
+/// The mixture curve (paper Eq. 7 with `a₁ = 1`) from built components:
+/// `(1 − F₁(t)) + a₂(β, t)·F₂(t)`. Fitted models and the fitting hot path
+/// both evaluate through it.
+fn curve(f1: &BuiltComponent, f2: &BuiltComponent, trend: Trend, beta: f64, t: f64) -> f64 {
+    f1.survival(t) + trend.eval(beta, t) * f2.cdf(t)
 }
 
 /// Table label for a component pairing (e.g. `"Wei-Exp"`).
@@ -217,27 +213,14 @@ impl MixtureFamily {
         .collect()
     }
 
-    /// Positivity flags for the external parameter vector.
-    fn positivity(&self) -> Vec<bool> {
-        let mut flags = Vec::with_capacity(self.n_params());
-        for i in 0..self.f1.n_params() {
-            flags.push(self.f1.param_positive(i));
-        }
-        for i in 0..self.f2.n_params() {
-            flags.push(self.f2.param_positive(i));
-        }
-        flags.push(true); // β > 0
-        flags
-    }
-
     fn split_params<'a>(&self, params: &'a [f64]) -> (&'a [f64], &'a [f64], f64) {
         let n1 = self.f1.n_params();
         let n2 = self.f2.n_params();
         (&params[..n1], &params[n1..n1 + n2], params[n1 + n2])
     }
 
-    /// Positivity flag for external parameter `i` without materializing
-    /// the whole flag vector (hot-path counterpart of `positivity`).
+    /// Whether external parameter `i` is constrained positive (and so
+    /// log-transformed in the internal space).
     fn param_positive_at(&self, i: usize) -> bool {
         let n1 = self.f1.n_params();
         let n2 = self.f2.n_params();
@@ -258,19 +241,6 @@ impl ModelFamily for MixtureFamily {
 
     fn n_params(&self) -> usize {
         self.f1.n_params() + self.f2.n_params() + 1
-    }
-
-    fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            internal.len(),
-            self.n_params(),
-            "internal dimension mismatch"
-        );
-        internal
-            .iter()
-            .zip(self.positivity())
-            .map(|(&v, positive)| if positive { v.exp() } else { v })
-            .collect()
     }
 
     fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
@@ -306,7 +276,7 @@ impl ModelFamily for MixtureFamily {
             return false;
         };
         for (o, &t) in out.iter_mut().zip(ts) {
-            *o = f1.survival(t) + self.trend.eval(beta, t) * f2.cdf(t);
+            *o = curve(&f1, &f2, self.trend, beta, t);
         }
         true
     }
@@ -371,16 +341,9 @@ impl ModelFamily for MixtureFamily {
             ys,
             out,
             |u| {
-                // Identical arithmetic to `internal_to_params_into` +
-                // the feasibility checks of `predict_params_into`.
+                // The feasibility checks of `predict_params_into`.
                 let mut p = [0.0_f64; 8];
-                for (i, (o, &v)) in p[..n].iter_mut().zip(u).enumerate() {
-                    *o = if self.param_positive_at(i) {
-                        v.exp()
-                    } else {
-                        v
-                    };
-                }
+                self.internal_to_params_into(u, &mut p[..n]);
                 let beta = p[n1 + n2];
                 if !(beta > 0.0) || !beta.is_finite() {
                     return None;
@@ -389,10 +352,7 @@ impl ModelFamily for MixtureFamily {
                 let f2 = self.f2.try_build(&p[n1..n1 + n2])?;
                 Some((f1, f2, beta))
             },
-            |&(f1, f2, beta), t| {
-                // Same expression as the scalar `predict_params_into`.
-                f1.survival(t) + self.trend.eval(beta, t) * f2.cdf(t)
-            },
+            |(f1, f2, beta), t| curve(f1, f2, self.trend, *beta, t),
         );
         true
     }
@@ -410,17 +370,19 @@ impl ModelFamily for MixtureFamily {
         }
         params
             .iter()
-            .zip(self.positivity())
-            .map(|(&v, positive)| {
-                if positive {
-                    if v > 0.0 {
-                        Ok(v.ln())
-                    } else {
-                        Err(CoreError::params(
-                            "Mixture",
-                            format!("parameter {v} must be positive"),
-                        ))
-                    }
+            .enumerate()
+            .map(|(i, &v)| {
+                let positive = self.param_positive_at(i);
+                if !v.is_finite() || (positive && !(v > 0.0)) {
+                    Err(CoreError::params(
+                        "Mixture",
+                        format!(
+                            "parameter {v} must be finite{}",
+                            if positive { " and positive" } else { "" }
+                        ),
+                    ))
+                } else if positive {
+                    Ok(v.ln())
                 } else {
                     Ok(v)
                 }

@@ -243,11 +243,30 @@ struct ChaosCtx<'a> {
 }
 
 impl ChaosCtx<'_> {
-    /// The typed error a chaos-failed attempt produces. A plain
-    /// deterministic error (not a stop): the retry schedule treats it
+    /// The fault `family`'s attempt `attempt` suffers, if any: every
+    /// attempt fails under a job-boundary exhaustion fault (so a retry
+    /// schedule runs, and is charged, to its policy bound), and a
+    /// transient per-attempt hit fails this attempt only, after its
+    /// injection is recorded on `control`. The error is a plain
+    /// deterministic one (not a stop), so the retry schedule treats it
     /// like any other failed attempt.
-    fn attempt_error(&self, what: &'static str) -> CoreError {
-        CoreError::arg(what, "chaos: injected fault")
+    fn attempt_fault(
+        &self,
+        family: &'static str,
+        attempt: u32,
+        control: &Control,
+        what: &'static str,
+    ) -> Option<CoreError> {
+        let transient = !self.exhaust && self.plan.transient(self.cell, family, attempt);
+        if transient {
+            control.emit(Event::ChaosInjected {
+                kind: resilience_obs::ChaosKind::Transient,
+                cell: self.cell,
+                family,
+            });
+            control.count(CounterId::ChaosInjected, 1);
+        }
+        (self.exhaust || transient).then(|| CoreError::arg(what, "chaos: injected fault"))
     }
 }
 
@@ -283,51 +302,23 @@ fn fit_with_retry_impl(
                     StopCause::Cancelled => CoreError::cancelled("fit_with_retry"),
                 });
             }
-        }
-        attempts = attempt;
-        if let Some(ctx) = chaos {
-            if ctx.exhaust {
-                // Job-boundary exhaustion fault: every attempt fails, so
-                // the schedule runs (and is charged) to its policy bound.
-                if attempt > 1 {
-                    control.emit(Event::RetryScheduled {
-                        family: family.name(),
-                        attempt: attempt as u32,
-                    });
-                    control.count(CounterId::Retries, 1);
-                }
-                last_err = Some(ctx.attempt_error("fit_with_retry"));
-                continue;
-            }
-            if ctx.plan.transient(ctx.cell, family.name(), attempt as u32) {
-                // Transient per-attempt fault: this attempt fails
-                // retryably; the next attempt draws its own stream and
-                // may succeed.
-                if attempt > 1 {
-                    control.emit(Event::RetryScheduled {
-                        family: family.name(),
-                        attempt: attempt as u32,
-                    });
-                    control.count(CounterId::Retries, 1);
-                }
-                control.emit(Event::ChaosInjected {
-                    kind: resilience_obs::ChaosKind::Transient,
-                    cell: ctx.cell,
-                    family: family.name(),
-                });
-                control.count(CounterId::ChaosInjected, 1);
-                last_err = Some(ctx.attempt_error("fit_with_retry"));
-                continue;
-            }
-        }
-        let outcome = if attempt == 1 {
-            fit_least_squares_with(family, series, config, control)
-        } else {
             control.emit(Event::RetryScheduled {
                 family: family.name(),
                 attempt: attempt as u32,
             });
             control.count(CounterId::Retries, 1);
+        }
+        attempts = attempt;
+        let fault = chaos.and_then(|ctx| {
+            ctx.attempt_fault(family.name(), attempt as u32, control, "fit_with_retry")
+        });
+        if let Some(e) = fault {
+            last_err = Some(e);
+            continue;
+        }
+        let outcome = if attempt == 1 {
+            fit_least_squares_with(family, series, config, control)
+        } else {
             // With a best-so-far fit, retries warm-start from its optimum
             // (the probe usually short-circuits the whole cold phase) and
             // jitter *around* it; without one, the cold grid is all there
@@ -490,20 +481,13 @@ fn supervised_family_job(
             chaos_ctx.as_ref(),
         )
         .map(|s| s.fit),
-        None => match chaos_ctx {
-            // Single-shot under chaos: an exhaustion fault or a transient
-            // hit on the only attempt fails the job outright.
-            Some(ctx) if ctx.exhaust => Err(ctx.attempt_error("fit")),
-            Some(ctx) if ctx.plan.transient(cell, family.name(), 1) => {
-                fit_control.emit(Event::ChaosInjected {
-                    kind: resilience_obs::ChaosKind::Transient,
-                    cell,
-                    family: family.name(),
-                });
-                fit_control.count(CounterId::ChaosInjected, 1);
-                Err(ctx.attempt_error("fit"))
-            }
-            _ => fit_least_squares_with(family, series, inner, &fit_control),
+        // Single-shot under chaos: a fault on the only attempt fails the
+        // job outright.
+        None => match chaos_ctx
+            .and_then(|ctx| ctx.attempt_fault(family.name(), 1, &fit_control, "fit"))
+        {
+            Some(e) => Err(e),
+            None => fit_least_squares_with(family, series, inner, &fit_control),
         },
     };
     let fit = fit_outcome.map_err(|e| {
@@ -1190,8 +1174,8 @@ mod tests {
         fn n_params(&self) -> usize {
             QuadraticFamily.n_params()
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            QuadraticFamily.internal_to_params(internal)
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            QuadraticFamily.internal_to_params_into(internal, out);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             QuadraticFamily.params_to_internal(params)
@@ -1262,8 +1246,8 @@ mod tests {
         fn n_params(&self) -> usize {
             QuadraticFamily.n_params()
         }
-        fn internal_to_params(&self, internal: &[f64]) -> Vec<f64> {
-            QuadraticFamily.internal_to_params(internal)
+        fn internal_to_params_into(&self, internal: &[f64], out: &mut [f64]) {
+            QuadraticFamily.internal_to_params_into(internal, out);
         }
         fn params_to_internal(&self, params: &[f64]) -> Result<Vec<f64>, CoreError> {
             QuadraticFamily.params_to_internal(params)

@@ -32,8 +32,8 @@
 //!   interning.
 //! * [`report`] — [`RunReport`] aggregation: per-family totals as a table
 //!   and machine-readable JSON, with `Option`-typed (`NaN`-free) rates.
-//! * [`metrics`] — live [`MetricsRegistry`] observer and
-//!   [`MetricsSnapshot`] with deterministic Prometheus-style exposition.
+//! * [`metrics`] — [`MetricsSnapshot`]: a [`RunReport`]'s totals as a
+//!   deterministic Prometheus-style exposition.
 //! * [`span`] — [`SpanTree`]: the fleet → cell → fit → attempt → solver
 //!   hierarchy folded from a log's `job` markers, with top-K work queries.
 //! * [`diff`] — byte/field-level log and report diffing
@@ -75,7 +75,7 @@ pub use event::{
     ChaosKind, CounterId, Event, ExitReason, FailureCode, HistogramId, SolverKind, StopKind,
 };
 pub use jsonl::JsonlObserver;
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use observer::{replay, NullObserver, Observer, RecordingObserver, TeeObserver};
 pub use parse::{intern, parse_line, parse_log, ParseError};
 pub use report::{BootstrapProgress, FamilyStats, Histogram, RunReport};

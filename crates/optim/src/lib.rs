@@ -13,9 +13,6 @@
 //!   refinement of least-squares fits.
 //! * [`scalar`] — golden-section search for 1-D subproblems (e.g.
 //!   locating a curve trough).
-//! * [`bounds`] — smooth parameter transforms (log / logistic) that turn
-//!   box-constrained fitting into unconstrained fitting; this is how the
-//!   quadratic bathtub validity region `−2√(αγ) < β < 0` is enforced.
 //! * [`multi_start`] — grid seeding and multi-start drivers that make the
 //!   nonconvex fits reproducible without hand-tuned initial guesses.
 //! * [`parallel`] — a `std`-only scoped thread pool ([`Parallelism`],
@@ -27,6 +24,10 @@
 //!   every iterative solver polls between iterations, turning runaway
 //!   fits into typed [`OptimError::TimedOut`] / [`OptimError::Cancelled`]
 //!   errors instead of hangs.
+//!
+//! Every solver here is unconstrained. Parameter constraints belong to the
+//! models: each model family in `resilience-core` maps an unconstrained
+//! internal vector onto its own feasible region.
 //!
 //! # Examples
 //!
@@ -64,7 +65,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bounds;
 pub mod control;
 pub mod error;
 pub mod levenberg_marquardt;
@@ -76,7 +76,6 @@ pub mod problem;
 pub mod report;
 pub mod scalar;
 
-pub use bounds::{ParamSpace, Transform};
 pub use control::{CancelToken, Control, StopCause};
 pub use error::OptimError;
 pub use objective::Objective;

@@ -21,6 +21,13 @@ SMOKE_TIMEOUT=300
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo check --locked --offline --manifest-path perfbench/Cargo.toml"
+# The benchmark package is outside the workspace but implements
+# `ModelFamily` (a forwarding wrapper) and pins its own lock file: a
+# library change that breaks it, or that would rewrite
+# perfbench/Cargo.lock, fails here rather than in a benchmark run.
+cargo check --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace (hard cap ${TEST_TIMEOUT}s)"
 timeout -k 30 "$TEST_TIMEOUT" cargo test -q --workspace
 

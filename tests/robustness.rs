@@ -3,14 +3,19 @@
 //! every public entry point.
 
 use resilience_core::analysis::evaluate_model;
-use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily};
-use resilience_core::fit::{fit_least_squares, FitConfig};
+use resilience_core::bathtub::{CompetingRisksFamily, QuadraticFamily, QuarticFamily};
+use resilience_core::extended::{CrashRecoveryFamily, DoubleBathtubFamily};
+use resilience_core::fit::{fit_least_squares, FitConfig, WarmStart};
 use resilience_core::forecast::forecast;
 use resilience_core::metrics::MetricContext;
 use resilience_core::mixture::{ComponentKind, MixtureFamily, Trend};
 use resilience_core::model::ModelFamily;
 use resilience_data::csv::read_series;
+use resilience_data::recessions::Recession;
 use resilience_data::PerformanceSeries;
+use resilience_optim::nelder_mead::NelderMeadConfig;
+use resilience_optim::Parallelism;
+use resilience_stats::XorShift64;
 
 /// Series construction rejects every malformed input combination.
 #[test]
@@ -209,4 +214,108 @@ fn error_messages_are_informative() {
         panic!("β > 0 must be rejected");
     };
     assert!(e.to_string().contains("Quadratic"));
+}
+
+/// Every shipped family: the five fixed-form ones plus all 16 mixture
+/// pairings under all 4 recovery trends.
+fn shipped_families() -> Vec<Box<dyn ModelFamily>> {
+    use ComponentKind as K;
+    let mut families: Vec<Box<dyn ModelFamily>> = vec![
+        Box::new(QuadraticFamily),
+        Box::new(CompetingRisksFamily),
+        Box::new(QuarticFamily),
+        Box::new(CrashRecoveryFamily),
+        Box::new(DoubleBathtubFamily),
+    ];
+    let kinds = [K::Exponential, K::Weibull, K::Gamma, K::LogNormal];
+    for f1 in kinds {
+        for f2 in kinds {
+            for trend in Trend::ALL {
+                families.push(Box::new(MixtureFamily { f1, f2, trend }));
+            }
+        }
+    }
+    families
+}
+
+/// Boundary fuzzing of the family API with a seeded stream: parameter
+/// vectors of the wrong length (0, 1, n−1, n+1) or with one slot set to a
+/// hostile value never panic. Wrong lengths and non-finite values are
+/// rejected with `Err`/`false`, and a warm start the family rejects
+/// falls back to exactly the cold fit.
+#[test]
+fn family_boundaries_reject_hostile_parameters() {
+    const HOSTILE: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -1.0,
+        1e308,
+        -1e308,
+    ];
+    let mut rng = XorShift64::new(0xB001);
+    let series = Recession::R1990_93
+        .payroll_index()
+        .split_at(18)
+        .unwrap()
+        .train;
+    let ts = series.times();
+    let mut out = vec![0.0; ts.len()];
+    // A short solver budget: the fallback must match whatever the cold
+    // fit reaches, so the budget only sets the test's cost.
+    let defaults = FitConfig::default();
+    let config = FitConfig {
+        nelder_mead: NelderMeadConfig {
+            max_iterations: 60,
+            ..defaults.nelder_mead.clone()
+        },
+        lm_polish: false,
+        max_starts: 2,
+        parallelism: Parallelism::Serial,
+        ..defaults
+    };
+    for family in shipped_families() {
+        let family = family.as_ref();
+        let name = family.name();
+        let n = family.n_params();
+        let cold = fit_least_squares(family, &series, &config).map(|fit| fit.sse.to_bits());
+        let base = family.initial_guesses(&series).swap_remove(0);
+        let mut cases = Vec::new();
+        for len in [0, 1, n - 1, n + 1] {
+            let params: Vec<f64> = (0..len)
+                .map(|_| HOSTILE[rng.next_index(HOSTILE.len())])
+                .collect();
+            cases.push((params, true));
+        }
+        for v in HOSTILE {
+            let mut params = base.clone();
+            params[rng.next_index(n)] = v;
+            cases.push((params, !v.is_finite()));
+        }
+        for (params, must_reject) in cases {
+            let internal = family.params_to_internal(&params);
+            let built = family.build(&params).is_ok();
+            let predicted = family.predict_params_into(&params, ts, &mut out);
+            if must_reject {
+                assert!(
+                    internal.is_err() && !built && !predicted,
+                    "{name}: accepted {params:?}"
+                );
+            }
+            let warm = FitConfig {
+                warm_start: Some(WarmStart::new(params.clone())),
+                ..config.clone()
+            };
+            let fit = fit_least_squares(family, &series, &warm).map(|fit| fit.sse.to_bits());
+            if internal.is_err() {
+                assert_eq!(
+                    fit.ok(),
+                    cold.as_ref().ok().copied(),
+                    "{name}: rejected warm start {params:?} must fall back to the cold fit"
+                );
+            }
+        }
+    }
 }
