@@ -180,8 +180,84 @@ impl BuiltComponent {
     ///   so `∂F/∂k = e^{−z}·z·ln(t/λ)` and `∂F/∂λ = −e^{−z}·k·z/λ`
     ///   (both 0 for `t ≤ 0`, guarding the `0·(−∞)` NaN at `t = 0`).
     pub fn cdf_gradient(&self, t: f64, out: &mut [f64]) -> bool {
-        match self {
-            BuiltComponent::Exponential(d) => {
+        Prepared::new(*self).cdf_gradient(t, t.ln(), out)
+    }
+}
+
+/// A component prepared for the mixture's per-point loops. The Weibull
+/// term is evaluated in log space: with `ln λ` taken once here and the
+/// caller's `ln t` shared with the trend, `z = (t/λ)^k` is
+/// `exp(k·(ln t − ln λ))`, so a point costs no `powf` and no further
+/// logarithm. Every other kind evaluates through its distribution, and
+/// `stats::Weibull` stays the reference the log-space form is tested
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum Prepared {
+    /// Weibull(k, λ) with `ln λ` precomputed.
+    Weibull {
+        shape: f64,
+        scale: f64,
+        ln_scale: f64,
+    },
+    /// Any other kind, evaluated by its distribution.
+    Dist(BuiltComponent),
+}
+
+impl Prepared {
+    pub(super) fn new(component: BuiltComponent) -> Self {
+        match component {
+            BuiltComponent::Weibull(d) => Prepared::Weibull {
+                shape: d.shape(),
+                scale: d.scale(),
+                ln_scale: d.scale().ln(),
+            },
+            other => Prepared::Dist(other),
+        }
+    }
+
+    /// The Weibull cumulative hazard `z = (t/λ)^k` for `t > 0`, from
+    /// `ln t`.
+    fn weibull_z(shape: f64, ln_scale: f64, ln_t: f64) -> f64 {
+        (shape * (ln_t - ln_scale)).exp()
+    }
+
+    /// CDF at `t`, given `ln_t = t.ln()`.
+    pub(super) fn cdf(&self, t: f64, ln_t: f64) -> f64 {
+        match *self {
+            Prepared::Weibull {
+                shape, ln_scale, ..
+            } => {
+                if t <= 0.0 {
+                    0.0
+                } else {
+                    -(-Self::weibull_z(shape, ln_scale, ln_t)).exp_m1()
+                }
+            }
+            Prepared::Dist(d) => d.cdf(t),
+        }
+    }
+
+    /// Survival at `t`, given `ln_t = t.ln()`.
+    pub(super) fn survival(&self, t: f64, ln_t: f64) -> f64 {
+        match *self {
+            Prepared::Weibull {
+                shape, ln_scale, ..
+            } => {
+                if t <= 0.0 {
+                    1.0
+                } else {
+                    (-Self::weibull_z(shape, ln_scale, ln_t)).exp()
+                }
+            }
+            Prepared::Dist(d) => d.survival(t),
+        }
+    }
+
+    /// [`BuiltComponent::cdf_gradient`], given `ln_t = t.ln()`; the
+    /// Weibull `ln(t/λ)` is `ln t − ln λ`.
+    pub(super) fn cdf_gradient(&self, t: f64, ln_t: f64, out: &mut [f64]) -> bool {
+        match *self {
+            Prepared::Dist(BuiltComponent::Exponential(d)) => {
                 out[0] = if t >= 0.0 {
                     t * (-d.rate() * t).exp()
                 } else {
@@ -189,21 +265,23 @@ impl BuiltComponent {
                 };
                 true
             }
-            BuiltComponent::Weibull(d) => {
+            Prepared::Weibull {
+                shape,
+                scale,
+                ln_scale,
+            } => {
                 if t > 0.0 {
-                    let (k, lambda) = (d.shape(), d.scale());
-                    let r = t / lambda;
-                    let z = r.powf(k);
+                    let z = Self::weibull_z(shape, ln_scale, ln_t);
                     let damp = (-z).exp();
-                    out[0] = damp * z * r.ln();
-                    out[1] = -damp * k * z / lambda;
+                    out[0] = damp * z * (ln_t - ln_scale);
+                    out[1] = -damp * shape * z / scale;
                 } else {
                     out[0] = 0.0;
                     out[1] = 0.0;
                 }
                 true
             }
-            BuiltComponent::Gamma(_) | BuiltComponent::LogNormal(_) => false,
+            Prepared::Dist(_) => false,
         }
     }
 }

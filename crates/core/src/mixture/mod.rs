@@ -16,6 +16,7 @@
 mod component;
 mod trend;
 
+use component::Prepared;
 pub use component::{BuiltComponent, ComponentKind};
 pub use trend::Trend;
 
@@ -46,10 +47,10 @@ use resilience_math::linalg::Matrix;
 pub struct MixtureModel {
     f1_kind: ComponentKind,
     f1_params: Vec<f64>,
-    f1: BuiltComponent,
+    f1: Prepared,
     f2_kind: ComponentKind,
     f2_params: Vec<f64>,
-    f2: BuiltComponent,
+    f2: Prepared,
     trend: Trend,
     beta: f64,
     name: &'static str,
@@ -77,8 +78,8 @@ impl MixtureModel {
                 format!("trend coefficient β must be positive and finite, got {beta}"),
             ));
         }
-        let f1 = f1_kind.build(&f1_params)?;
-        let f2 = f2_kind.build(&f2_params)?;
+        let f1 = Prepared::new(f1_kind.build(&f1_params)?);
+        let f2 = Prepared::new(f2_kind.build(&f2_params)?);
         Ok(MixtureModel {
             f1_kind,
             f1_params,
@@ -119,13 +120,14 @@ impl MixtureModel {
     /// The degradation term `1 − F₁(t)` alone.
     #[must_use]
     pub fn degradation_term(&self, t: f64) -> f64 {
-        self.f1.survival(t)
+        self.f1.survival(t, t.ln())
     }
 
     /// The recovery term `a₂(t)·F₂(t)` alone.
     #[must_use]
     pub fn recovery_term(&self, t: f64) -> f64 {
-        self.trend.eval(self.beta, t) * self.f2.cdf(t)
+        let ln_t = t.ln();
+        self.trend.eval_ln(self.beta, t, ln_t) * self.f2.cdf(t, ln_t)
     }
 }
 
@@ -146,11 +148,14 @@ impl ResilienceModel for MixtureModel {
     }
 }
 
-/// The mixture curve (paper Eq. 7 with `a₁ = 1`) from built components:
-/// `(1 − F₁(t)) + a₂(β, t)·F₂(t)`. Fitted models and the fitting hot path
-/// both evaluate through it.
-fn curve(f1: &BuiltComponent, f2: &BuiltComponent, trend: Trend, beta: f64, t: f64) -> f64 {
-    f1.survival(t) + trend.eval(beta, t) * f2.cdf(t)
+/// The mixture curve (paper Eq. 7 with `a₁ = 1`) from prepared
+/// components: `(1 − F₁(t)) + a₂(β, t)·F₂(t)`. Fitted models and the
+/// fitting hot path both evaluate through it. `ln t` is taken once and
+/// shared by the trend and both components; it is `−∞` or NaN for
+/// `t ≤ 0`, where every branch that reads it is clamped off.
+fn curve(f1: &Prepared, f2: &Prepared, trend: Trend, beta: f64, t: f64) -> f64 {
+    let ln_t = t.ln();
+    f1.survival(t, ln_t) + trend.eval_ln(beta, t, ln_t) * f2.cdf(t, ln_t)
 }
 
 /// Table label for a component pairing (e.g. `"Wei-Exp"`).
@@ -219,6 +224,19 @@ impl MixtureFamily {
         (&params[..n1], &params[n1..n1 + n2], params[n1 + n2])
     }
 
+    /// Checks `β` and both components of a full external parameter
+    /// vector and prepares the components for the per-point loops:
+    /// `None` where any of them is infeasible.
+    fn prepare(&self, params: &[f64]) -> Option<(Prepared, Prepared, f64)> {
+        let (p1, p2, beta) = self.split_params(params);
+        if !(beta > 0.0) || !beta.is_finite() {
+            return None;
+        }
+        let f1 = Prepared::new(self.f1.try_build(p1)?);
+        let f2 = Prepared::new(self.f2.try_build(p2)?);
+        Some((f1, f2, beta))
+    }
+
     /// Whether external parameter `i` is constrained positive (and so
     /// log-transformed in the internal space).
     fn param_positive_at(&self, i: usize) -> bool {
@@ -268,11 +286,7 @@ impl ModelFamily for MixtureFamily {
         if params.len() != self.n_params() {
             return false;
         }
-        let (p1, p2, beta) = self.split_params(params);
-        if !(beta > 0.0) || !beta.is_finite() {
-            return false;
-        }
-        let (Some(f1), Some(f2)) = (self.f1.try_build(p1), self.f2.try_build(p2)) else {
+        let Some((f1, f2, beta)) = self.prepare(params) else {
             return false;
         };
         for (o, &t) in out.iter_mut().zip(ts) {
@@ -307,33 +321,30 @@ impl ModelFamily for MixtureFamily {
         {
             return false;
         }
-        let (p1, p2, beta) = self.split_params(params);
-        if !(beta > 0.0) || !beta.is_finite() {
-            return false;
-        }
-        let (Some(f1), Some(f2)) = (self.f1.try_build(p1), self.f2.try_build(p2)) else {
+        let Some((f1, f2, beta)) = self.prepare(params) else {
             return false;
         };
+        let (p1, p2, _) = self.split_params(params);
         let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
         let mut g = [0.0_f64; 2]; // component gradient scratch (≤ 2 params)
         for (i, &t) in ts.iter().enumerate() {
-            let trend = self.trend.eval(beta, t);
-            f1.cdf_gradient(t, &mut g[..n1]);
+            let ln_t = t.ln();
+            let trend = self.trend.eval_ln(beta, t, ln_t);
+            f1.cdf_gradient(t, ln_t, &mut g[..n1]);
             for (j, &gj) in g[..n1].iter().enumerate() {
                 out[(i, j)] = -p1[j] * gj;
             }
-            f2.cdf_gradient(t, &mut g[..n2]);
+            f2.cdf_gradient(t, ln_t, &mut g[..n2]);
             for (j, &gj) in g[..n2].iter().enumerate() {
                 out[(i, n1 + j)] = trend * p2[j] * gj;
             }
-            out[(i, n1 + n2)] = beta * self.trend.beta_gradient(beta, t) * f2.cdf(t);
+            out[(i, n1 + n2)] = beta * self.trend.beta_gradient_ln(beta, t, ln_t) * f2.cdf(t, ln_t);
         }
         true
     }
 
     fn sse_batch_into(&self, internals: &[f64], ts: &[f64], ys: &[f64], out: &mut [f64]) -> bool {
         let n = self.n_params();
-        let (n1, n2) = (self.f1.n_params(), self.f2.n_params());
         sse_batch_kernel(
             n,
             internals,
@@ -344,13 +355,7 @@ impl ModelFamily for MixtureFamily {
                 // The feasibility checks of `predict_params_into`.
                 let mut p = [0.0_f64; 8];
                 self.internal_to_params_into(u, &mut p[..n]);
-                let beta = p[n1 + n2];
-                if !(beta > 0.0) || !beta.is_finite() {
-                    return None;
-                }
-                let f1 = self.f1.try_build(&p[..n1])?;
-                let f2 = self.f2.try_build(&p[n1..n1 + n2])?;
-                Some((f1, f2, beta))
+                self.prepare(&p[..n])
             },
             |(f1, f2, beta), t| curve(f1, f2, self.trend, *beta, t),
         );
@@ -604,6 +609,83 @@ mod tests {
         assert!(!fam.predict_params_into(&[-1.7, 12.0, 0.05, 0.25], &ts, &mut out));
         assert!(!fam.predict_params_into(&[1.7, 12.0, 0.05, 0.0], &ts, &mut out));
         assert!(!fam.predict_params_into(&[1.7, 12.0, 0.05], &ts, &mut out));
+    }
+
+    /// Internal point for any pairing: log of every positive parameter
+    /// (rates in `[e^-4, 1]`, Weibull shapes in `[e^-0.5, e^1.2]` and
+    /// scales in `[1, e^3.5]`, Gamma shapes in `[e^-0.5, e^1.5]` and rates
+    /// in `[e^-3, 1]`, LogNormal σ in `[e^-1, e^0.5]`, β in `[e^-2, e]`);
+    /// LogNormal's μ is drawn raw from `[0, 3.5]`.
+    fn any_pairing_point(fam: &MixtureFamily, rng: &mut resilience_stats::XorShift64) -> Vec<f64> {
+        let mut draw = |lo: f64, hi: f64| lo + (hi - lo) * rng.next_f64();
+        let mut u = Vec::with_capacity(fam.n_params());
+        for kind in [fam.f1, fam.f2] {
+            match kind {
+                ComponentKind::Exponential => u.push(draw(-4.0, 0.0)),
+                ComponentKind::Weibull => u.extend([draw(-0.5, 1.2), draw(0.0, 3.5)]),
+                ComponentKind::Gamma => u.extend([draw(-0.5, 1.5), draw(-3.0, 0.0)]),
+                ComponentKind::LogNormal => u.extend([draw(0.0, 3.5), draw(-1.0, 0.5)]),
+            }
+        }
+        u.push(draw(-2.0, 1.0));
+        u
+    }
+
+    /// All 16 pairings under all four trends evaluate the one `curve`:
+    /// the batched SSE matches the scalar objective (internal → params →
+    /// `predict_params_into` → compensated sum, `+∞` when non-finite) bit
+    /// for bit, and a built model's `predict_many` matches
+    /// `predict_params_into` bit for bit, on a grid with negative,
+    /// fractional and `t ≤ 1` times.
+    #[test]
+    fn every_pairing_and_trend_evaluates_bit_identically() {
+        use resilience_math::sum::sum_squared_diff;
+        const KINDS: [ComponentKind; 4] = [
+            ComponentKind::Exponential,
+            ComponentKind::Weibull,
+            ComponentKind::Gamma,
+            ComponentKind::LogNormal,
+        ];
+        const CASES: usize = 19; // two chunks of eight and a ragged tail
+        let mut ts = vec![-1.0, 0.25, 0.5, 1.0, 1.5, 95.5];
+        ts.extend((0..=36).map(f64::from));
+        let ys: Vec<f64> = ts
+            .iter()
+            .map(|&t| 1.0 - 0.04 * (-((t - 10.0) / 6.0).powi(2)).exp())
+            .collect();
+        let mut rng = resilience_stats::XorShift64::new(0xB17E_0016);
+        for f1 in KINDS {
+            for f2 in KINDS {
+                for trend in Trend::ALL {
+                    let fam = MixtureFamily { f1, f2, trend };
+                    let n = fam.n_params();
+                    let points: Vec<Vec<f64>> = (0..CASES)
+                        .map(|_| any_pairing_point(&fam, &mut rng))
+                        .collect();
+                    let internals: Vec<f64> = points.iter().flatten().copied().collect();
+                    let mut batched = vec![0.0; CASES];
+                    assert!(fam.sse_batch_into(&internals, &ts, &ys, &mut batched));
+
+                    let mut params = vec![0.0; n];
+                    let mut pred = vec![0.0; ts.len()];
+                    for (case, u) in points.iter().enumerate() {
+                        fam.internal_to_params_into(u, &mut params);
+                        assert!(fam.predict_params_into(&params, &ts, &mut pred));
+                        let scalar = if pred.iter().all(|v| v.is_finite()) {
+                            sum_squared_diff(&ys, &pred)
+                        } else {
+                            f64::INFINITY
+                        };
+                        let label = format!("{} {trend} case {case} ({params:?})", fam.name());
+                        assert_eq!(batched[case].to_bits(), scalar.to_bits(), "{label}");
+                        let built = fam.build(&params).unwrap().predict_many(&ts);
+                        for (i, (a, b)) in built.iter().zip(&pred).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{label} at t = {}", ts[i]);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

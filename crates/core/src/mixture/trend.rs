@@ -46,6 +46,13 @@ impl Trend {
     /// continuous — though not differentiable — at `t = 1`.
     #[must_use]
     pub fn eval(&self, beta: f64, t: f64) -> f64 {
+        self.eval_ln(beta, t, t.ln())
+    }
+
+    /// [`Trend::eval`] with `ln t` supplied by the caller, so the mixture
+    /// curve takes one logarithm per time point for the trend and both
+    /// components.
+    pub(super) fn eval_ln(&self, beta: f64, t: f64, ln_t: f64) -> f64 {
         match self {
             Trend::Constant => beta,
             Trend::Linear => beta * t,
@@ -54,7 +61,7 @@ impl Trend {
                 if t <= 1.0 {
                     0.0
                 } else {
-                    beta * t.ln()
+                    beta * ln_t
                 }
             }
         }
@@ -67,6 +74,11 @@ impl Trend {
     /// `t ≤ 1`, so its β-derivative is 0 there and `ln t` beyond.
     #[must_use]
     pub fn beta_gradient(&self, beta: f64, t: f64) -> f64 {
+        self.beta_gradient_ln(beta, t, t.ln())
+    }
+
+    /// [`Trend::beta_gradient`] with `ln t` supplied by the caller.
+    pub(super) fn beta_gradient_ln(&self, beta: f64, t: f64, ln_t: f64) -> f64 {
         match self {
             Trend::Constant => 1.0,
             Trend::Linear => t,
@@ -75,7 +87,7 @@ impl Trend {
                 if t <= 1.0 {
                     0.0
                 } else {
-                    t.ln()
+                    ln_t
                 }
             }
         }

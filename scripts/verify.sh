@@ -28,6 +28,18 @@ echo "==> cargo check --locked --offline --manifest-path perfbench/Cargo.toml"
 # perfbench/Cargo.lock, fails here rather than in a benchmark run.
 cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> repro all | cmp - repro_output.txt (hard cap ${SMOKE_TIMEOUT}s)"
+# The recorded paper tables and figures are a byte gate: a change that
+# moves any printed digit fails here instead of waiting for someone to
+# regenerate the file by hand (`repro all > repro_output.txt`, with the
+# drift reported).
+timeout -k 30 "$SMOKE_TIMEOUT" \
+    cargo run -q --release -p resilience-bench --bin repro all \
+    | cmp - repro_output.txt || {
+    echo "repro gate: repro all output drifted from repro_output.txt" >&2
+    exit 1
+}
+
 echo "==> cargo test -q --workspace (hard cap ${TEST_TIMEOUT}s)"
 timeout -k 30 "$TEST_TIMEOUT" cargo test -q --workspace
 

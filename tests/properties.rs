@@ -436,3 +436,219 @@ fn fit_recovers_random_quadratic_truth() {
         "only {tested} feasible cases — widen the sampler"
     );
 }
+
+// ---------------------------------------------------------------------
+// Closed-form oracles for the mixture's Weibull terms. The mixture
+// evaluates `(t/η)^k` in log space from one shared `ln t`; these
+// properties hold it to theory and to `stats::Weibull`, not to its own
+// earlier output.
+// ---------------------------------------------------------------------
+
+/// A mixture with the given components under the constant trend `β = 1`,
+/// so `degradation_term` is `S₁(t)` and `recovery_term` is `F₂(t)`.
+fn unit_trend_mixture(
+    f1: ComponentKind,
+    p1: Vec<f64>,
+    f2: ComponentKind,
+    p2: Vec<f64>,
+) -> MixtureModel {
+    MixtureModel::new(f1, p1, f2, p2, Trend::Constant, 1.0).unwrap()
+}
+
+/// At `t = η` the Weibull CDF is `1 − e⁻¹` whatever the shape.
+#[test]
+fn weibull_term_at_its_scale_is_one_minus_inv_e() {
+    let mut rng = XorShift64::new(0xA011);
+    let want_s = (-1.0f64).exp();
+    let want_f = 1.0 - want_s;
+    for case in 0..CASES {
+        let (k1, eta1) = (uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0));
+        let (k2, eta2) = (uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0));
+        let m = unit_trend_mixture(
+            ComponentKind::Weibull,
+            vec![k1, eta1],
+            ComponentKind::Weibull,
+            vec![k2, eta2],
+        );
+        let s = m.degradation_term(eta1);
+        let f = m.recovery_term(eta2);
+        assert!(
+            (s - want_s).abs() < 1e-15,
+            "case {case}: S(η) = {s} for k = {k1}, η = {eta1}"
+        );
+        assert!(
+            (f - want_f).abs() < 1e-15,
+            "case {case}: F(η) = {f} for k = {k2}, η = {eta2}"
+        );
+    }
+}
+
+/// With shape 1 the Weibull is the exponential of rate `1/η`, in either
+/// slot, under every trend.
+#[test]
+fn weibull_shape_one_mixture_equals_exponential() {
+    let mut rng = XorShift64::new(0xA012);
+    for case in 0..CASES {
+        let eta = uniform(&mut rng, 0.5, 200.0);
+        let rate = uniform(&mut rng, 0.01, 2.0);
+        let beta = uniform(&mut rng, 0.01, 1.0);
+        let trend = Trend::ALL[case % 4];
+        for slot in 0..2 {
+            // The component under test in `slot`, an Exp(rate) in the other.
+            let mixture = |kind: ComponentKind, params: Vec<f64>| {
+                let (other, other_params) = (ComponentKind::Exponential, vec![rate]);
+                let ((k1, p1), (k2, p2)) = if slot == 0 {
+                    ((kind, params), (other, other_params))
+                } else {
+                    ((other, other_params), (kind, params))
+                };
+                MixtureModel::new(k1, p1, k2, p2, trend, beta).unwrap()
+            };
+            let w = mixture(ComponentKind::Weibull, vec![1.0, eta]);
+            let e = mixture(ComponentKind::Exponential, vec![1.0 / eta]);
+            for i in 0..=192 {
+                let t = i as f64 * 0.5;
+                let (pw, pe) = (w.predict(t), e.predict(t));
+                assert!(
+                    (pw - pe).abs() <= 1e-12 * (1.0 + pe.abs()),
+                    "case {case} slot {slot} {trend} at t = {t}: Wei(1, {eta}) {pw} vs \
+                     Exp({}) {pe}",
+                    1.0 / eta
+                );
+            }
+        }
+    }
+}
+
+/// At and before the hazard onset every component has `F = 0` and
+/// `S = 1` exactly, so the curve is exactly nominal under every trend.
+#[test]
+fn mixture_terms_are_exact_at_and_before_onset() {
+    let mut rng = XorShift64::new(0xA013);
+    let kinds = [
+        (ComponentKind::Exponential, vec![0.3]),
+        (ComponentKind::Weibull, vec![0.4, 12.0]),
+        (ComponentKind::Weibull, vec![6.0, 0.7]),
+        (ComponentKind::Gamma, vec![2.0, 0.2]),
+        (ComponentKind::LogNormal, vec![1.5, 0.6]),
+    ];
+    for case in 0..CASES {
+        let t = match case {
+            0 => 0.0,
+            1 => -0.0,
+            _ => -uniform(&mut rng, 0.0, 50.0),
+        };
+        for (k1, p1) in &kinds {
+            for (k2, p2) in &kinds {
+                let unit = unit_trend_mixture(*k1, p1.clone(), *k2, p2.clone());
+                assert_eq!(unit.degradation_term(t), 1.0, "case {case}: S₁({t})");
+                assert_eq!(unit.recovery_term(t), 0.0, "case {case}: F₂({t})");
+                for trend in Trend::ALL {
+                    let m =
+                        MixtureModel::new(*k1, p1.clone(), *k2, p2.clone(), trend, 0.7).unwrap();
+                    assert_eq!(
+                        m.predict(t),
+                        1.0,
+                        "case {case}: {} {trend} at {t}",
+                        m.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The Wei-Wei curve stays within `1e-12` of one built from
+/// `stats::Weibull::{cdf, survival}` over `t ∈ [0, 96]`, `k ∈ [0.3, 8]`,
+/// `η ∈ [0.5, 200]`. The recovery term is scaled by `a₂(t)`, so the bound
+/// is absolute on each term: `1e-12·max(1, a₂(t))` on the curve.
+#[test]
+fn weibull_mixture_matches_stats_oracle() {
+    let mut rng = XorShift64::new(0xA014);
+    for case in 0..CASES {
+        let w1 = Weibull::new(uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0)).unwrap();
+        let w2 = Weibull::new(uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0)).unwrap();
+        let beta = uniform(&mut rng, 0.01, 1.0);
+        let trend = Trend::ALL[case % 4];
+        let m = MixtureModel::new(
+            ComponentKind::Weibull,
+            vec![w1.shape(), w1.scale()],
+            ComponentKind::Weibull,
+            vec![w2.shape(), w2.scale()],
+            trend,
+            beta,
+        )
+        .unwrap();
+        for _ in 0..64 {
+            let t = uniform(&mut rng, 0.0, 96.0);
+            let a2 = trend.eval(beta, t);
+            let oracle = w1.survival(t) + a2 * w2.cdf(t);
+            assert!(
+                (m.degradation_term(t) - w1.survival(t)).abs() <= 1e-12,
+                "case {case}: S₁({t}) vs {w1:?}"
+            );
+            assert!(
+                (m.predict(t) - oracle).abs() <= 1e-12 * a2.abs().max(1.0),
+                "case {case} {trend}: P({t}) = {} vs oracle {oracle} ({w1:?}, {w2:?}, β {beta})",
+                m.predict(t)
+            );
+        }
+    }
+}
+
+/// Stochastic ordering (Panja, Kundu and Pradhan): a larger recovery
+/// scale puts `F₂` lower in the usual order, so with `a₂ ≥ 0` it lowers
+/// `a₂(t)·F₂(t)`, and the whole curve, at every point — for a Weibull
+/// scale `η₂` and for an exponential scale `1/λ₂`, under every trend.
+#[test]
+fn larger_recovery_scale_lowers_recovery_term() {
+    let mut rng = XorShift64::new(0xA015);
+    for case in 0..CASES {
+        let (k1, eta1) = (uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0));
+        let (k2, eta2) = (uniform(&mut rng, 0.3, 8.0), uniform(&mut rng, 0.5, 200.0));
+        let stretch = uniform(&mut rng, 1.01, 2.0);
+        let beta = uniform(&mut rng, 0.01, 1.0);
+        let trend = Trend::ALL[case % 4];
+        let pairs = [
+            (
+                (ComponentKind::Weibull, vec![k2, eta2]),
+                (ComponentKind::Weibull, vec![k2, eta2 * stretch]),
+            ),
+            (
+                (ComponentKind::Exponential, vec![1.0 / eta2]),
+                (ComponentKind::Exponential, vec![1.0 / (eta2 * stretch)]),
+            ),
+        ];
+        for (near, far) in pairs {
+            let mk = |(kind, p): (ComponentKind, Vec<f64>)| {
+                MixtureModel::new(ComponentKind::Weibull, vec![k1, eta1], kind, p, trend, beta)
+                    .unwrap()
+            };
+            let (near, far) = (mk(near), mk(far));
+            for i in 0..=192 {
+                let t = i as f64 * 0.5;
+                assert!(
+                    far.recovery_term(t) <= near.recovery_term(t),
+                    "case {case} {trend} {} at t = {t}: {} > {}",
+                    near.name(),
+                    far.recovery_term(t),
+                    near.recovery_term(t)
+                );
+                assert!(
+                    far.predict(t) <= near.predict(t),
+                    "case {case} {trend} at t = {t}"
+                );
+            }
+            // Strictly lower wherever the trend is positive at the nearer
+            // scale itself, where `F₂` is far from saturating.
+            let t = eta2;
+            if trend.eval(beta, t) > 0.0 {
+                assert!(
+                    far.recovery_term(t) < near.recovery_term(t),
+                    "case {case} {trend} {}: not strictly lower at t = {t}",
+                    near.name()
+                );
+            }
+        }
+    }
+}
